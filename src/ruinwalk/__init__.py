@@ -61,7 +61,6 @@ from .survival import (
     enumerate_finite_time,
     extend_sup_pmf_stable,
     finite_time_grid,
-    finite_time_survival,
     stability_horizon,
     survival_gf,
     survival_gf_closed,
@@ -75,7 +74,6 @@ from .verification import (
     StationarityReport,
     horizon_bias_bound,
     mc_stationarity_distance,
-    mc_supremum_samples,
     mc_survival,
     mc_walk_suprema,
     recurrent_sequence_limits,

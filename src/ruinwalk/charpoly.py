@@ -39,7 +39,6 @@ class CharPolynomial:
     coeffs: np.ndarray
     kappa: int
     reduction_shift: int = 0
-    trunc_tail: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -59,9 +58,6 @@ class CharPolynomial:
 
     def eval(self, s) -> complex | np.ndarray:
         return npoly.polyval(s, self.coeffs)
-
-    def eval_derivative(self, s, order: int = 1):
-        return npoly.polyval(s, npoly.polyder(self.coeffs, order))
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def reduce_support(dist: ClaimDistribution, kappa: int):
 
 
 def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
-    """Polynomial Q with Q(s) = 0 iff s^kappa = G_X(s), exact where possible.
+    """Polynomial Q with Q(s) = 0 iff s^kappa = G_X(s), with exact coefficients.
 
     Finite pmf: Q(s) = s^kappa - sum_i x_i s^i.
     Geometric:  Q(s) = s^kappa (1 - (1-p) s) - p, multiplying through by the
@@ -152,18 +148,12 @@ def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
         coeffs[kappa] = 1.0
         coeffs[kappa + 1] = -dist.q
         return CharPolynomial(coeffs, kappa)
-    if isinstance(dist, FinitePmf):
-        pmf = np.asarray(dist.probabilities, dtype=float)
-        tail = 0.0
-    else:
-        pmf, tail = dist.truncate(dist.trunc_eps)
-        # absorb the discarded mass so that Q(1)=0 holds exactly
-        pmf = pmf / pmf.sum()
+    pmf = np.asarray(dist.probabilities, dtype=float)
     n = max(kappa, pmf.size - 1)
     coeffs = np.zeros(n + 1)
     coeffs[: pmf.size] = -pmf
     coeffs[kappa] += 1.0
-    return CharPolynomial(coeffs, kappa, trunc_tail=tail)
+    return CharPolynomial(coeffs, kappa)
 
 
 def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:

@@ -38,9 +38,6 @@ class ClaimDistribution:
     def pgf(self, s: complex) -> complex:
         raise NotImplementedError
 
-    def pgf_derivative(self, s: complex) -> complex:
-        raise NotImplementedError
-
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -100,10 +97,6 @@ class FinitePmf(ClaimDistribution):
     def pgf(self, s: complex) -> complex:
         return complex(np.polynomial.polynomial.polyval(s, self._p))
 
-    def pgf_derivative(self, s: complex) -> complex:
-        d = np.polynomial.polynomial.polyder(self._p)
-        return complex(np.polynomial.polynomial.polyval(s, d))
-
     def mean(self) -> float:
         return self._mean
 
@@ -161,11 +154,6 @@ class Geometric(ClaimDistribution):
                 f"geometric pgf diverges for |s| >= {1.0 / self.q:.6g}, got |s| = {abs(s):.6g}"
             )
         return self.p / (1.0 - self.q * s)
-
-    def pgf_derivative(self, s: complex) -> complex:
-        if abs(s) * self.q >= 1.0:
-            raise DomainError("geometric pgf derivative evaluated outside radius of convergence")
-        return self.p * self.q / (1.0 - self.q * s) ** 2
 
     def mean(self) -> float:
         return self.q / self.p

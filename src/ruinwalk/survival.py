@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -390,7 +389,12 @@ def extend_sup_pmf_stable(
     horizon = stability_horizon(roots)
 
     def tail_mass(mass: np.ndarray) -> float:
-        return 1.0 - float(mass.sum())
+        if tail is None:
+            return 1.0 - float(mass.sum())
+        # P(M > n) from the outside poles alone: 1 - sum(mass) cancels down
+        # to a roundoff floor near 1e-12, below which no target is reachable
+        n = mass.size - 1
+        return -float((tail.coeffs[1:] * tail.poles[1:] ** -(n + 1.0)).sum().real)
 
     n = max(2 * kappa, 16)
     while True:
@@ -411,26 +415,6 @@ def extend_sup_pmf_stable(
                 f"supremum tail still {tail_mass(mass):.3e} after {n} terms"
             )
         n *= 2
-
-
-@lru_cache(maxsize=64)
-def _finite_time_cache(dist: ClaimDistribution, kappa: int, u_max: int, t_max: int, state_cap):
-    return finite_time_grid(dist, kappa, u_max, t_max, state_cap=state_cap)
-
-
-def finite_time_survival(dist: ClaimDistribution, kappa: int, u: int, t: int) -> float:
-    """P(surplus stays positive through the first t periods from surplus u).
-
-    One period survives iff the claim is at most u + kappa - 1; conditioning
-    on the first claim j (including j = 0) gives
-        phi(u, t) = sum_{j=0}^{u+kappa-1} x_j phi(u + kappa - j, t - 1).
-    """
-    if u < 0 or t < 1:
-        raise ValueError("finite-time survival needs u >= 0 and t >= 1")
-    grid = _finite_time_cache(dist, kappa, u, t, None)
-    val = grid.value(u, t)
-    assert -1e-12 <= val <= 1.0 + 1e-12
-    return val
 
 
 def finite_time_grid(

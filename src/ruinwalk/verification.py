@@ -31,6 +31,7 @@ class McEstimate:
     horizon: int
     effective_horizon: int
     seed: int
+    suprema: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,6 @@ class StationarityReport:
     paths: int
     horizon: int
     support_cap: int
-
-    @property
-    def passed(self) -> bool:
-        return self.tv <= 3.0 * self.sampling_noise
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def mc_survival(
     strictly below u; the estimate is therefore biased upward by at most the
     chance of ruin after the horizon. Integer walk state throughout; fixed
     Philox chunking makes the result bit-reproducible and independent of the
-    worker count.
+    worker count. The unclipped suprema are kept for the stationarity check.
     """
     check_net_profit(dist, kappa).require_ok()
     u_arr = np.asarray(sorted(set(int(u) for u in u_list)), dtype=np.int64)
@@ -173,6 +170,7 @@ def mc_survival(
         horizon=horizon,
         effective_horizon=eff,
         seed=seed,
+        suprema=best,
     )
 
 
@@ -195,36 +193,24 @@ def mc_walk_suprema(
     return _all_suprema(dist, kappa, paths, eff, seed, workers)
 
 
-def mc_supremum_samples(
-    dist: ClaimDistribution,
-    kappa: int,
-    paths: int,
-    horizon: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> np.ndarray:
-    """Horizon-truncated samples of the clipped supremum M."""
-    return np.maximum(mc_walk_suprema(dist, kappa, paths, horizon, seed, workers=workers), 0)
-
-
 def mc_stationarity_distance(
     dist: ClaimDistribution,
     kappa: int,
-    paths: int,
-    seed: int,
+    suprema: np.ndarray,
     *,
-    horizon: int = 2000,
+    horizon: int,
 ) -> StationarityReport:
     """Total-variation gap between the empirical law of M and its one-step push.
 
     The clipped supremum satisfies (M + X - kappa)^+ equal in law to M. The
-    empirical pmf of horizon-truncated suprema is pushed through that step
-    analytically (exact convolution with the claim law), and the TV distance
-    between the two pmfs is reported together with the sampling-noise scale
-    sum_k sqrt(p_k (1-p_k) / paths) / 2.
+    empirical pmf of the given horizon-truncated walk suprema (unclipped, as
+    mc_walk_suprema or McEstimate.suprema hold them) is clipped at zero and
+    pushed through that step analytically (exact convolution with the claim
+    law), and the TV distance between the two pmfs is reported together with
+    the sampling-noise scale sum_k sqrt(p_k (1-p_k) / paths) / 2.
     """
-    samples = mc_supremum_samples(dist, kappa, paths, horizon, seed)
+    samples = np.maximum(suprema, 0)
+    paths = samples.size
     cap = int(samples.max()) + 1
     pmf = np.bincount(samples, minlength=cap) / paths
 

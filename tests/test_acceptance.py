@@ -33,6 +33,7 @@ from ruinwalk.survival import (
 from ruinwalk.verification import (
     default_identity_points,
     horizon_bias_bound,
+    mc_stationarity_distance,
     mc_walk_suprema,
     recurrent_sequence_limits,
     stationarity_identity_residual,
@@ -302,27 +303,6 @@ def test_criterion_8_monte_carlo_concordance(
     assert ok, failures
 
 
-def _stationarity_tv(dist, kappa, suprema):
-    samples = np.maximum(suprema, 0)
-    cap = int(samples.max()) + 1
-    pmf = np.bincount(samples, minlength=cap) / samples.size
-    x, _ = dist.truncate(min(dist.trunc_eps, 1e-12))
-    pushed = np.zeros(cap + x.size)
-    for i in range(cap):
-        if pmf[i] == 0.0:
-            continue
-        lo = i - kappa
-        if lo >= 0:
-            pushed[lo : lo + x.size] += pmf[i] * x
-        else:
-            cut = -lo
-            pushed[0] += pmf[i] * x[:cut].sum()
-            pushed[0 : x.size - cut] += pmf[i] * x[cut:]
-    full = np.zeros(pushed.size)
-    full[:cap] = pmf
-    return 0.5 * float(np.abs(full - pushed).sum())
-
-
 def _exact_clipped_supremum_law(dist, kappa, u_cap, horizon):
     """Exact law of max(sup_{n <= horizon} S_n, 0) on 0..u_cap.
 
@@ -348,14 +328,17 @@ def test_criterion_9_stationarity_tv(
     # the kappa=2 geometric supremum is so wide that an exact sampler's TV at
     # 1e6 paths (~0.0063) already exceeds 0.003, so model 2 is held to 0.003
     # above that noise floor, drawn with the same path count and seed
-    tv2 = _stationarity_tv(geometric, 2, suprema_model2)
+    def push_tv(dist, kappa, suprema):
+        return mc_stationarity_distance(dist, kappa, suprema, horizon=MC_HORIZON).tv
+
+    tv2 = push_tv(geometric, 2, suprema_model2)
     law = _exact_clipped_supremum_law(geometric, 2, model2_state_cap, MC_HORIZON)
     draws = np.random.default_rng(MC_SEED).choice(law.size, size=MC_PATHS, p=law)
-    tv2_null = _stationarity_tv(geometric, 2, draws)
+    tv2_null = push_tv(geometric, 2, draws)
     excess = tv2 - tv2_null
     tvs = {
-        "model3": _stationarity_tv(geometric, 3, suprema_model3),
-        "model4": _stationarity_tv(double_root_dist, 3, suprema_model4),
+        "model3": push_tv(geometric, 3, suprema_model3),
+        "model4": push_tv(double_root_dist, 3, suprema_model4),
     }
     ok = excess <= 0.003 and all(tv <= 0.003 for tv in tvs.values())
     detail = (

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ruinwalk.verification as verification
 from ruinwalk.cli import main
 from ruinwalk.config import ModelConfig, config_from_dict, load_config
 from ruinwalk.distributions import FinitePmf, Geometric
@@ -13,6 +16,16 @@ from ruinwalk.pipeline import run_model
 from ruinwalk.reporting import render_report
 
 P = 101.0 / 300.0
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """`python -m ruinwalk` in a child process that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ruinwalk", *args], capture_output=True, text=True, env=env
+    )
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -99,19 +112,39 @@ class TestPipeline:
         assert "sequence_limits_agreement" in names
         assert report.all_passed
 
+    def test_u_max_below_kappa(self):
+        # no u has the recurrence's whole stencil in the table, so its check is vacuous
+        cfg = ModelConfig(kappa=3, dist=Geometric(P), u_max=1, t_max=5)
+        report = run_model(cfg)
+        assert report.survival.phi.size == 2
+        assert report.all_passed
+
+    def test_verify_simulates_suprema_once(self, monkeypatch):
+        # concordance and stationarity read the same sample of walk suprema
+        calls = []
+        simulate = verification._all_suprema
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(verification, "_all_suprema", counted)
+        cfg = ModelConfig(
+            kappa=2, dist=Geometric(P), u_max=5, t_max=10, mc_paths=2000, mc_horizon=100
+        )
+        report = run_model(cfg, verify=True)
+        assert len(calls) == 1
+        assert report.stationarity.paths == report.mc.paths == 2000
+        assert report.all_passed
+
 
 class TestCliProcess:
-    def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "ruinwalk", *args], capture_output=True, text=True
-        )
-
     def test_example_run_writes_outputs(self, tmp_path):
         cfg = write_config(
             tmp_path,
             {"kappa": 3, "dist": {"kind": "geometric", "p": P}, "u_max": 6, "t_max": 12},
         )
-        res = self.run_cli("--config", str(cfg), "--out", str(tmp_path), "--no-timings")
+        res = run_cli("--config", str(cfg), "--out", str(tmp_path), "--no-timings")
         assert res.returncode == 0, res.stderr
         report = (tmp_path / "report.txt").read_text()
         assert "0.582072" in report and "0.480212" in report
@@ -120,27 +153,27 @@ class TestCliProcess:
 
     def test_net_profit_rejection_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": 0.25}})
-        res = self.run_cli("--config", str(cfg))
+        res = run_cli("--config", str(cfg))
         assert res.returncode == 2
         assert "net profit" in res.stderr
 
     def test_malformed_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        res = self.run_cli("--config", str(path))
+        res = run_cli("--config", str(path))
         assert res.returncode == 2
         assert "config error" in res.stderr
 
     def test_unknown_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 1, "dist": {"kind": "finite", "pmf": [0.7, 0.3]}})
-        res = self.run_cli("--config", str(cfg), "--frobnicate")
+        res = run_cli("--config", str(cfg), "--frobnicate")
         assert res.returncode == 2
 
     def test_u_max_override_monotone_column(self, tmp_path):
         cfg = write_config(
             tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": P}, "u_max": 3}
         )
-        res = self.run_cli(
+        res = run_cli(
             "--config", str(cfg), "--u-max", "100", "--out", str(tmp_path), "--format", "csv"
         )
         assert res.returncode == 0, res.stderr
@@ -161,8 +194,8 @@ class TestCliProcess:
             },
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        r1 = self.run_cli("--config", str(cfg), "--verify", "--out", str(out1), "--no-timings")
-        r2 = self.run_cli("--config", str(cfg), "--verify", "--out", str(out2), "--no-timings")
+        r1 = run_cli("--config", str(cfg), "--verify", "--out", str(out1), "--no-timings")
+        r2 = run_cli("--config", str(cfg), "--verify", "--out", str(out2), "--no-timings")
         assert r1.returncode == 0 and r2.returncode == 0
         assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
         assert (out1 / "verification.csv").read_bytes() == (out2 / "verification.csv").read_bytes()
@@ -170,7 +203,7 @@ class TestCliProcess:
     def test_format_report_only(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 1, "dist": {"kind": "finite", "pmf": [0.7, 0.3]}})
         out = tmp_path / "r"
-        res = self.run_cli("--config", str(cfg), "--out", str(out), "--format", "report")
+        res = run_cli("--config", str(cfg), "--out", str(out), "--format", "report")
         assert res.returncode == 0
         assert (out / "report.txt").exists()
         assert not (out / "survival.csv").exists()
@@ -198,12 +231,6 @@ class TestWarningPaths:
         assert any("unit circle" in w for w in report.warnings)
         assert any(r["on_boundary"] for r in report.roots)
 
-    def test_index_convention_note_always_present(self):
-        cfg = ModelConfig(kappa=1, dist=FinitePmf((0.7, 0.3)), u_max=3, t_max=3)
-        report = run_model(cfg)
-        assert any("zero-claim term" in w for w in report.warnings)
-        assert any("full-history convolution" in w for w in report.warnings)
-
     def test_cluster_ambiguity_reachable(self, tmp_path):
         # a near-double root whose splitting lands inside the factor-10
         # sensitivity window around tol_cluster
@@ -213,11 +240,7 @@ class TestWarningPaths:
         cfg = write_config(
             tmp_path, {"kappa": 3, "dist": {"kind": "finite", "pmf": list(probs)}}
         )
-        res = subprocess.run(
-            [sys.executable, "-m", "ruinwalk", "--config", str(cfg)],
-            capture_output=True,
-            text=True,
-        )
+        res = run_cli("--config", str(cfg))
         assert res.returncode == 1
         assert "AmbiguousCluster" in res.stderr
 

@@ -10,7 +10,6 @@ from ruinwalk.survival import (
     enumerate_finite_time,
     extend_sup_pmf_stable,
     finite_time_grid,
-    finite_time_survival,
     stability_horizon,
     survival_gf,
     survival_gf_closed,
@@ -265,26 +264,36 @@ class TestStableExtension:
         diffs = table.phi[2:200] - table.phi[1:199]
         np.testing.assert_allclose(mass[1:199], diffs, atol=1e-11)
 
+    def test_target_below_roundoff_floor_of_mass_sum(self, geometric):
+        # 1 - sum(mass) bottoms out near 1e-12; the pole expansion measures
+        # the remaining tail itself, so a 1e-12 target is still reachable
+        char, roots, sup = solve_model(geometric, 2)
+        mass = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char, tail_target=1e-12)
+        default = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char)
+        assert mass.size == default.size == 4097
+        assert mass.min() >= -1e-12
+
 
 class TestFiniteTime:
     def test_one_period_is_cdf(self, geometric):
         # phi(u, 1) = F_X(u + kappa - 1)
         for u in range(0, 6):
-            assert finite_time_survival(geometric, 2, u, 1) == pytest.approx(
+            assert finite_time_grid(geometric, 2, u, 1).value(u, 1) == pytest.approx(
                 geometric.cdf(u + 1), abs=1e-12
             )
 
     def test_geometric_kappa2_first_step_value(self, geometric):
         p = 101.0 / 300.0
-        assert finite_time_survival(geometric, 2, 0, 1) == pytest.approx(p * (2 - p), abs=1e-12)
+        value = finite_time_grid(geometric, 2, 0, 1).value(0, 1)
+        assert value == pytest.approx(p * (2 - p), abs=1e-12)
 
     def test_bernoulli_never_ruins_from_one(self, bernoulli):
         for t in (1, 5, 40):
-            assert finite_time_survival(bernoulli, 1, 1, t) == pytest.approx(1.0, abs=1e-14)
+            assert finite_time_grid(bernoulli, 1, 1, t).value(1, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_certain_when_claims_cannot_reach(self, double_root_dist):
         # u + kappa - 1 >= max support means one period always survives
-        assert finite_time_survival(double_root_dist, 3, 1, 1) == 1.0
+        assert finite_time_grid(double_root_dist, 3, 1, 1).value(1, 1) == 1.0
 
     def test_matches_enumeration(self, geometric, double_root_dist):
         for dist, kappa in ((geometric, 2), (geometric, 3), (double_root_dist, 3)):

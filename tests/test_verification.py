@@ -9,7 +9,6 @@ from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_su
 from ruinwalk.verification import (
     default_identity_points,
     mc_stationarity_distance,
-    mc_supremum_samples,
     mc_survival,
     mc_walk_suprema,
     recurrent_sequence_limits,
@@ -62,11 +61,10 @@ class TestMcSurvival:
 
 
 class TestSupremumSamples:
-    def test_non_negative_and_reproducible(self, geometric):
-        s1 = mc_supremum_samples(geometric, 2, 20_000, 200, seed=1)
-        s2 = mc_supremum_samples(geometric, 2, 20_000, 200, seed=1)
+    def test_walk_suprema_reproducible(self, geometric):
+        s1 = mc_walk_suprema(geometric, 2, 20_000, 200, seed=1)
+        s2 = mc_walk_suprema(geometric, 2, 20_000, 200, seed=1)
         np.testing.assert_array_equal(s1, s2)
-        assert s1.min() >= 0
 
     def test_matches_survival_counting(self, geometric):
         # P(sup < u) from raw suprema must reproduce mc_survival exactly
@@ -75,27 +73,31 @@ class TestSupremumSamples:
         est = mc_survival(geometric, 2, [0, 1, 3], paths=paths, horizon=horizon, seed=seed)
         for i, u in enumerate(est.u):
             assert (suprema < u).mean() == pytest.approx(est.phi_hat[i], abs=0)
-        clipped = mc_supremum_samples(geometric, 2, paths, horizon, seed)
-        np.testing.assert_array_equal(clipped, np.maximum(suprema, 0))
+        np.testing.assert_array_equal(est.suprema, suprema)
 
 
 class TestStationarity:
     def test_degenerate_zero_claims(self):
-        rep = mc_stationarity_distance(FinitePmf((1.0,)), 1, paths=2000, seed=2, horizon=50)
+        dist = FinitePmf((1.0,))
+        rep = mc_stationarity_distance(dist, 1, mc_walk_suprema(dist, 1, 2000, 50, 2), horizon=50)
         assert rep.tv == pytest.approx(0.0, abs=1e-15)
 
     def test_double_root_model_zero_distance(self, double_root_dist):
-        rep = mc_stationarity_distance(double_root_dist, 3, paths=50_000, seed=4, horizon=200)
+        suprema = mc_walk_suprema(double_root_dist, 3, 50_000, 200, 4)
+        rep = mc_stationarity_distance(double_root_dist, 3, suprema, horizon=200)
         # M == 0 a.s.; the push moves nothing because claims never exceed premium
         assert rep.tv <= 1e-12
 
     def test_within_noise_level(self, geometric):
-        rep = mc_stationarity_distance(geometric, 3, paths=60_000, seed=8, horizon=600)
+        suprema = mc_walk_suprema(geometric, 3, 60_000, 600, 8)
+        rep = mc_stationarity_distance(geometric, 3, suprema, horizon=600)
         assert rep.tv <= 3.0 * rep.sampling_noise
 
     def test_noise_shrinks_with_paths(self, geometric):
-        small = mc_stationarity_distance(geometric, 2, paths=10_000, seed=6, horizon=400)
-        big = mc_stationarity_distance(geometric, 2, paths=40_000, seed=6, horizon=400)
+        small_sample = mc_walk_suprema(geometric, 2, 10_000, 400, 6)
+        big_sample = mc_walk_suprema(geometric, 2, 40_000, 400, 6)
+        small = mc_stationarity_distance(geometric, 2, small_sample, horizon=400)
+        big = mc_stationarity_distance(geometric, 2, big_sample, horizon=400)
         ratio = small.tv / big.tv
         assert 1.5 <= ratio <= 3.0  # ~sqrt(4) with sampling slack
 
