@@ -3,8 +3,9 @@
 The model: surplus u + 2n - (X_1 + ... + X_n) with P(X=k) = p(1-p)^k.
 Ruin never happens iff the running supremum of the centred claim walk stays
 below u. We compute phi(0) and phi(1) by (i) the boundary linear system,
-(ii) root products, and (iii) limits of recurrent sequences, then extend the
-table far beyond where the naive forward recurrence stays numerically sane.
+(ii) root products, and (iii) limits of recurrent sequences, then read a long
+table off the supremum generating function and check it against the pole
+expansion over the roots outside the disk.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from ruinwalk import (
     find_unit_disk_roots,
     recurrent_sequence_limits,
     solve_boundary_system,
-    stability_horizon,
+    tail_expansion,
     ultimate_survival_table,
 )
 
@@ -38,7 +39,7 @@ print(f"unit-disk root alpha = {alpha:.12f}")
 
 system = build_boundary_system(dist, kappa, roots)
 sup = solve_boundary_system(system)
-table = ultimate_survival_table(sup, dist, kappa, 300, roots=roots, char=char)
+table = ultimate_survival_table(sup, dist, kappa, 300, char=char)
 print(f"route 1 (linear system):      phi(0) = {table.phi[0]:.10f}, phi(1) = {table.phi[1]:.10f}")
 
 closed = closed_form_initial_values(roots, dist, kappa)
@@ -50,10 +51,12 @@ print(
     f"   (stabilised at n = {limits.stopped_at})"
 )
 
-# the forward recurrence amplifies roundoff like (1/|alpha|)^u ~ 2^u, so the
-# long table hands over to the pole expansion at the stability horizon
-print(f"\nforward recurrence trusted through u = {stability_horizon(roots)}")
-print(f"table method: {table.method}, tail from u = {table.tail_start}")
+# a forward recurrence would amplify roundoff like (1/|alpha|)^u ~ 2^u; the
+# FFT inversion of the supremum pgf scales it by a fixed factor instead
+tail = tail_expansion(sup, dist, kappa, char, roots)
+us = np.arange(1, 301)
+print(f"\ntable method: {table.method}; largest gap to the pole expansion "
+      f"{np.max(np.abs(tail.phi(us - 1) - table.phi[us])):.1e}")
 for u in (0, 1, 5, 20, 100, 300):
     print(f"  phi({u:>3}) = {table.phi[u]:.10f}")
 print("ruin stays likely for small reserves: the drift 2 - EX is only "

@@ -34,7 +34,6 @@ from .errors import (
     ImagLeak,
     MultipleRootsUnsupported,
     NearPole,
-    NegativePi,
     NetProfitViolation,
     NonConvergence,
     RecurrenceBlowup,
@@ -50,7 +49,6 @@ from .supremum import (
     SupremumPmf,
     build_boundary_system,
     determinant_identity_error,
-    extend_sup_pmf,
     solve_boundary_system,
     sup_pmf_closed_form,
 )
@@ -61,7 +59,6 @@ from .survival import (
     enumerate_finite_time,
     extend_sup_pmf_stable,
     finite_time_grid,
-    stability_horizon,
     survival_gf,
     survival_gf_closed,
     survival_gf_coefficients,

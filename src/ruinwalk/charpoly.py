@@ -93,11 +93,6 @@ class RootSet:
             out.extend([r.value] * r.multiplicity)
         return np.array(out, dtype=complex)
 
-    def min_modulus(self) -> float:
-        if not self.roots:
-            return np.inf
-        return min(abs(r.value) for r in self.roots)
-
     def to_records(self) -> list[dict]:
         return [
             {

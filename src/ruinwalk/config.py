@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .distributions import ClaimDistribution, distribution_from_dict
+from .distributions import ClaimDistribution, config_number, distribution_from_dict
 from .errors import ConfigError
 
 
@@ -36,6 +36,15 @@ class ModelConfig:
             raise ConfigError("mc_paths and mc_horizon must be >= 1")
 
 
+def _integer(name: str, value) -> int:
+    """An integer from a config file; bools and non-integral numbers are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ModelConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -43,22 +52,21 @@ def config_from_dict(raw: dict) -> ModelConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        kappa = raw["kappa"]
+        kappa = _integer("kappa", raw["kappa"])
         dist = distribution_from_dict(raw["dist"])
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from None
     kwargs: dict = {}
-    if "u_max" in raw:
-        kwargs["u_max"] = int(raw["u_max"])
-    if "t_max" in raw:
-        kwargs["t_max"] = int(raw["t_max"])
+    for key in ("u_max", "t_max"):
+        if key in raw:
+            kwargs[key] = _integer(key, raw[key])
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("'tolerances' must be an object")
     for key in tol:
         if key not in ("tol_root", "tol_cluster", "tol_boundary", "tol_real"):
             raise ConfigError(f"unknown tolerance {key!r}")
-        kwargs[key] = float(tol[key])
+        kwargs[key] = config_number(key, tol[key])
     mc = raw.get("mc", {})
     if not isinstance(mc, dict):
         raise ConfigError("'mc' must be an object")
@@ -66,9 +74,7 @@ def config_from_dict(raw: dict) -> ModelConfig:
     for key in mc:
         if key not in mc_map:
             raise ConfigError(f"unknown mc key {key!r}")
-        kwargs[mc_map[key]] = int(mc[key])
-    if not isinstance(kappa, int):
-        raise ConfigError(f"kappa must be an integer, got {kappa!r}")
+        kwargs[mc_map[key]] = _integer(f"mc.{key}", mc[key])
     return ModelConfig(kappa=kappa, dist=dist, **kwargs)
 
 

@@ -234,17 +234,24 @@ def lattice_span(dist: ClaimDistribution, kappa: int) -> int:
     return span
 
 
+def config_number(name: str, value) -> float:
+    """A real number from a config file; bools, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def distribution_from_dict(spec: dict) -> ClaimDistribution:
     """Build a claim law from the config-file dictionary form."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"distribution spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
     if kind == "finite":
-        if "pmf" not in spec:
+        if not isinstance(spec.get("pmf"), list):
             raise ConfigError("finite distribution spec needs a 'pmf' list")
-        return FinitePmf(tuple(float(v) for v in spec["pmf"]))
+        return FinitePmf(tuple(config_number("pmf entry", v) for v in spec["pmf"]))
     if kind == "geometric":
         if "p" not in spec:
             raise ConfigError("geometric distribution spec needs a success probability 'p'")
-        return Geometric(float(spec["p"]))
+        return Geometric(config_number("p", spec["p"]))
     raise ConfigError(f"unknown distribution kind {kind!r}")

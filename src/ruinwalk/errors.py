@@ -68,12 +68,8 @@ class ImagLeak(RuinwalkError):
         super().__init__(f"imaginary residue {leak:.3e} exceeds tolerance {tol:.3e}")
 
 
-class NegativePi(RuinwalkError):
-    """Extended supremum pmf went negative beyond tolerance."""
-
-
 class RecurrenceBlowup(RuinwalkError):
-    """Survival recurrence left [0, 1]; numerically unstable or bad input."""
+    """Survival table left [0, 1], or the supremum pmf is inconsistent or too long."""
 
 
 class NearPole(RuinwalkError):

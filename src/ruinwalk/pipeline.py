@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import CharPolynomial, RootSet, build_characteristic, find_unit_disk_roots, reduce_support
+from .charpoly import CharPolynomial, build_characteristic, find_unit_disk_roots, reduce_support
 from .config import ModelConfig
 from .distributions import NetProfitStatus, check_net_profit, lattice_span
 from .errors import NetProfitViolation
@@ -100,9 +100,7 @@ def _trivial_report(config: ModelConfig, npr) -> RunReport:
     mass[0] = 1.0
     phi = np.ones(config.u_max + 1)
     phi[0] = 0.0
-    table = SurvivalTable(
-        phi=phi, kappa=kappa, method="trivial", stability_horizon=0, warnings=()
-    )
+    table = SurvivalTable(phi=phi, kappa=kappa, method="trivial")
     grid = finite_time_grid(config.dist, kappa, min(config.u_max, 10), min(config.t_max, 50))
     report = RunReport(
         config=_echo_config(config),
@@ -198,15 +196,11 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     checks.append(Check.leq("sup_mass_min", float(-(sup.mass.min())), config.tol_real))
     checks.append(Check.leq("sup_mass_total", float(sup.mass.sum() - 1.0), 1e-10))
 
+    closed = sup_pmf_closed_form(dist, kappa, roots)
+    checks.append(
+        Check.leq("closed_form_agreement", float(np.max(np.abs(closed.mass - sup.mass))), 1e-9)
+    )
     if roots.all_simple:
-        closed = sup_pmf_closed_form(dist, kappa, roots)
-        checks.append(
-            Check.leq(
-                "closed_form_agreement",
-                float(np.max(np.abs(closed.mass - sup.mass))) if kappa else 0.0,
-                1e-9,
-            )
-        )
         checks.append(
             Check.leq(
                 "determinant_identity_rel_err",
@@ -217,27 +211,32 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
 
     t = time.perf_counter()
     table = ultimate_survival_table(
-        sup, dist, kappa, config.u_max, roots=roots, char=char, bound_tol=config.tol_real
+        sup, dist, kappa, config.u_max, char=char, bound_tol=config.tol_real
     )
-    warnings.extend(table.warnings)
     timings["table"] = time.perf_counter() - t
 
-    coeffs = survival_gf_coefficients(sup, dist, kappa, config.u_max, roots=roots, char=char)
-    upto = config.u_max  # coeffs[u] = phi(u+1)
-    diff = np.max(np.abs(coeffs[: upto] - table.phi[1 : upto + 1])) if upto else 0.0
-    checks.append(Check.leq("table_vs_series_division", float(diff), 1e-9))
+    phi = table.phi
+    coeffs = survival_gf_coefficients(dist, kappa, config.u_max, roots=roots)
+    diff = np.max(np.abs(coeffs[:-1] - phi[1:])) if config.u_max else 0.0
+    checks.append(Check.leq("table_vs_root_product", float(diff), 1e-9))
 
-    if roots.all_simple:
-        init = closed_form_initial_values(roots, dist, kappa)
-        upto = min(kappa, config.u_max)
-        diff = float(np.max(np.abs(init[: upto + 1] - table.phi[: upto + 1])))
-        checks.append(Check.leq("closed_form_initial_values", diff, 1e-9))
+    tail = tail_expansion(sup, dist, kappa, char, roots)
+    if tail is not None:
+        us = np.arange(1, config.u_max + 1)
+        diff = np.max(np.abs(tail.phi(us - 1) - phi[1:])) if config.u_max else 0.0
+        checks.append(Check.leq("table_vs_pole_expansion", float(diff), 1e-9))
 
-    # the recurrence must be a fixed point of the finished table
-    rec_res = 0.0
-    for u in range(0, config.u_max - kappa + 1):
-        acc = sum(dist.pmf(u + kappa - i) * table.phi[i] for i in range(1, u + kappa + 1))
-        rec_res = max(rec_res, abs(table.phi[u] - acc))
+    init = closed_form_initial_values(roots, dist, kappa)
+    upto = min(kappa, config.u_max)
+    diff = float(np.max(np.abs(init[: upto + 1] - phi[: upto + 1])))
+    checks.append(Check.leq("closed_form_initial_values", diff, 1e-9))
+
+    # the recurrence phi(u) = sum_{i>=1} x_{u+kappa-i} phi(i) must be a fixed
+    # point of the finished table wherever its whole stencil is in the table
+    x, _tail = dist.truncate(dist.trunc_eps)
+    conv = np.convolve(x, phi[1:])
+    n = config.u_max - kappa + 1
+    rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n]))) if n > 0 else 0.0
     checks.append(Check.leq("recurrence_fixed_point", rec_res, 1e-10))
 
     if kappa <= 2:
@@ -277,7 +276,7 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     )
 
     if verify:
-        _run_verification(report, config, dist, kappa, sup, roots, char)
+        _run_verification(report, config, dist, kappa, sup, char)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -288,14 +287,11 @@ def _run_verification(
     dist,
     kappa: int,
     sup: SupremumPmf,
-    roots: RootSet,
     char: CharPolynomial,
 ) -> None:
     """Oracle passes: identity residual, Monte Carlo, stationarity, sequences."""
     t = time.perf_counter()
-    extended = extend_sup_pmf_stable(
-        sup, dist, kappa, roots=roots, char=char, tail_target=IDENTITY_TAIL_TARGET
-    )
+    extended = extend_sup_pmf_stable(sup, dist, kappa, char=char, tail_target=IDENTITY_TAIL_TARGET)
     residual = stationarity_identity_residual(extended, dist, kappa)
     report.checks.append(
         Check.leq("gf_identity_residual", residual, 1e-8 + IDENTITY_TAIL_TARGET)
@@ -303,27 +299,22 @@ def _run_verification(
     report.timings["identity"] = time.perf_counter() - t
 
     t = time.perf_counter()
+    phi = report.survival.phi
     u_list = [u for u in (0, 1, 2, 5, 10) if u <= config.u_max]
     est = mc_survival(dist, kappa, u_list, config.mc_paths, config.mc_horizon, config.seed)
-    tail = tail_expansion(sup, dist, kappa, char, roots)
-    cap = report.survival.phi.size
-    if tail is not None:
-        u = cap
-        while u < 10**6 and 1.0 - float(tail.phi(np.array([u - 1]))[0]) > 1e-10:
-            u *= 2
-        cap = u
+    # P(M >= extended.size) is below IDENTITY_TAIL_TARGET, so states from
+    # there on survive for good up to that error
     bias = horizon_bias_bound(
         dist,
         kappa,
         est.u,
         est.effective_horizon,
-        phi_exact=np.array([_phi_at(report.survival, tail, u) for u in range(int(est.u.max()) + 1)]),
-        state_cap=cap,
+        phi_exact=phi,
+        state_cap=max(extended.size, phi.size),
     )
     worst = -np.inf
     for i, u in enumerate(est.u):
-        analytic = _phi_at(report.survival, tail, int(u))
-        excess = abs(est.phi_hat[i] - analytic) - (3.0 * est.std_err[i] + bias[i])
+        excess = abs(est.phi_hat[i] - phi[u]) - (3.0 * est.std_err[i] + bias[i])
         worst = max(worst, excess)
     report.mc = est
     report.mc_bias = bias
@@ -347,10 +338,3 @@ def _run_verification(
         report.checks.append(Check.leq("sequence_limits_agreement", err, 1e-6))
         report.timings["sequences"] = time.perf_counter() - t
 
-
-def _phi_at(table: SurvivalTable, tail, u: int) -> float:
-    if u < table.phi.size:
-        return float(table.phi[u])
-    if tail is None:
-        raise ValueError(f"phi({u}) beyond the table and no tail expansion available")
-    return float(tail.phi(np.array([u - 1]))[0])

@@ -3,9 +3,11 @@
 Let M be the all-time supremum of the centred claim walk, clipped at zero.
 Its first kappa local probabilities solve a square linear system: one row per
 unit-disk root of the characteristic equation (derivative rows standing in for
-repeated roots), closed by a first-moment row. A product/symmetric-function
-closed form and a determinant identity are provided as independent checks,
-and the pmf extends beyond index kappa-1 by a convolution recurrence.
+repeated roots), closed by a first-moment row. Every longer stretch of the
+pmf comes from one FFT inversion of its generating function G_M on a circle
+inside the unit disk, fed either by the solved masses or, as an independent
+check, by the product over the roots; a determinant identity checks the
+system itself.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import RootSet
-from .distributions import ClaimDistribution
-from .errors import ImagLeak, MultipleRootsUnsupported, NegativePi, SingularSystem
+from .charpoly import CharPolynomial, RootSet, build_characteristic, deflate_at_one
+from .distributions import ClaimDistribution, Geometric
+from .errors import ImagLeak, MultipleRootsUnsupported, SingularSystem
+
+# FFT inversion of a pgf: at most _ALIAS_MASS aliased into each coefficient,
+# and _OVERSAMPLE samples per wanted coefficient bound the r^-k rescaling
+_ALIAS_MASS = 1e-13
+_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -97,41 +104,74 @@ def solve_boundary_system(system: BoundarySystem, *, tol_real: float = 1e-8) -> 
     return SupremumPmf(mass=sol.real, residual=residual, imag_leak=leak, kappa=system.kappa)
 
 
-def _elementary_symmetric(values: np.ndarray) -> np.ndarray:
-    """e_0..e_n of the given values, by iterated convolution."""
-    e = np.zeros(values.size + 1, dtype=complex)
-    e[0] = 1.0
-    for k, v in enumerate(values):
-        e[1 : k + 2] = e[1 : k + 2] + v * e[0 : k + 1]
-    return e
+def denominator_factor(dist: ClaimDistribution, s):
+    """g(s) with G_X(s) - s^kappa = -Q(s) / g(s); 1 except for the geometric law."""
+    if isinstance(dist, Geometric):
+        return 1.0 - dist.q * s
+    return 1.0 + 0.0j
+
+
+def pgf_coefficients(values, n: int) -> tuple[np.ndarray, float]:
+    """First n power-series coefficients of a pgf, by one FFT on |s| = r < 1.
+
+    `values` maps an array of points to the pgf there. With N samples and
+    r = _ALIAS_MASS^(1/N), each coefficient picks up aliased mass of at most
+    r^N = _ALIAS_MASS, whatever the tail of the law; N >= _OVERSAMPLE * n keeps
+    the rescaling by r^-k below _ALIAS_MASS^(-1/_OVERSAMPLE) ~ 42 (Abate and
+    Whitt, Oper. Res. Lett. 12, 1992). Returns the real parts and the largest
+    imaginary part dropped.
+    """
+    size = 1024
+    while size < _OVERSAMPLE * n:
+        size *= 2
+    r = _ALIAS_MASS ** (1.0 / size)
+    points = r * np.exp(2j * np.pi * np.arange(size) / size)
+    coeffs = np.fft.fft(values(points))[:n] / size * r ** -np.arange(n)
+    leak = float(np.max(np.abs(coeffs.imag))) if n else 0.0
+    return coeffs.real, leak
+
+
+def sup_pgf_masses(numerator, dist: ClaimDistribution, char: CharPolynomial, n: int):
+    """P(M = 0..n-1) from G_M(s) = numerator(s) g(s) / Q1(s), where Q = (s - 1) Q1.
+
+    The root s = 1 is divided out of Q exactly, so the quotient suffers no
+    0/0 cancellation against the (s - 1) of the survival generating function.
+    """
+    q1 = deflate_at_one(char.coeffs)
+    return pgf_coefficients(
+        lambda s: numerator(s) * denominator_factor(dist, s) / npoly.polyval(s, q1), n
+    )
+
+
+def root_product(dist: ClaimDistribution, kappa: int, roots: RootSet):
+    """(kappa - E X) prod_j (s - alpha_j)/(1 - alpha_j) over the unit-disk roots.
+
+    The numerator R(s) of G_M vanishes at every unit-disk root, with
+    multiplicity, and G_M(1) = 1 fixes its scale, so this product is R(s) up
+    to roundoff, computed from the roots alone.
+    """
+    alphas = roots.values_with_multiplicity()
+    margin = kappa - dist.mean()
+
+    def numerator(s):
+        out = np.full(s.shape, margin, dtype=complex)
+        for a in alphas:
+            out *= (s - a) / (1.0 - a)
+        return out
+
+    return numerator
 
 
 def sup_pmf_closed_form(dist: ClaimDistribution, kappa: int, roots: RootSet) -> SupremumPmf:
-    """Product/symmetric-function cascade for the boundary probabilities.
+    """Boundary probabilities from the root product, without the linear solve.
 
-    Requires simple roots. Writing P = prod_j (alpha_j - 1) and e_k for the
-    elementary symmetric sums of the roots, the normalised masses follow
-
-        m_k = (-1)^k e_{kappa-1-k} / (x0 P) - (1/x0) sum_{i<k} F_X(k-i) m_i,
-
-    and the actual probabilities are (kappa - E X) m_k.
+    The first kappa coefficients of
+        G_M(s) = (kappa - E X) g(s) prod_j (s - alpha_j)/(1 - alpha_j) / Q1(s);
+    repeated roots enter the product with their multiplicity.
     """
-    if not roots.all_simple:
-        raise MultipleRootsUnsupported("closed form needs simple unit-disk roots")
-    x0 = dist.pmf(0)
-    if x0 <= 0.0:
-        raise ValueError("closed form requires positive mass at zero; reduce support first")
-    alphas = roots.values
-    e = _elementary_symmetric(alphas)
-    prod = complex(np.prod(alphas - 1.0)) if alphas.size else 1.0 + 0.0j
-    m = np.zeros(kappa, dtype=complex)
-    for k in range(kappa):
-        lead = (-1.0) ** k * e[kappa - 1 - k] / (x0 * prod)
-        corr = sum(dist.cdf(k - i) * m[i] for i in range(k)) / x0
-        m[k] = lead - corr
-    mass = (kappa - dist.mean()) * m
-    leak = float(np.max(np.abs(mass.imag))) if mass.size else 0.0
-    return SupremumPmf(mass=mass.real, residual=0.0, imag_leak=leak, kappa=kappa)
+    char = build_characteristic(dist, kappa)
+    mass, leak = sup_pgf_masses(root_product(dist, kappa, roots), dist, char, kappa)
+    return SupremumPmf(mass=mass, residual=0.0, imag_leak=leak, kappa=kappa)
 
 
 def determinant_identity_error(system: BoundarySystem, roots: RootSet, x0: float) -> float:
@@ -153,45 +193,3 @@ def determinant_identity_error(system: BoundarySystem, roots: RootSet, x0: float
             formula *= alphas[j] - alphas[i]
     det = complex(np.linalg.det(system.matrix))
     return abs(det - formula) / abs(formula)
-
-
-def extend_sup_pmf(
-    sup: SupremumPmf,
-    dist: ClaimDistribution,
-    kappa: int,
-    n_max: int,
-    *,
-    tol_real: float = 1e-8,
-    check_negative: bool = True,
-) -> np.ndarray:
-    """P(M = n) for n = 0..n_max via the convolution recurrence.
-
-    The index-kappa step uses cdf weights,
-        m_kappa x0 = m_0 - sum_{i<kappa} m_i F_X(kappa - i),
-    and beyond that the full-history form
-        m_n x0 = m_{n-kappa} - sum_{i<n} m_i x_{n-i}.
-
-    Forward error grows like (1/|alpha|)^n per unit-disk root alpha; callers
-    needing deep tails should prefer the pole-expansion route in
-    `ruinwalk.survival`.
-    """
-    x0 = dist.pmf(0)
-    if x0 <= 0.0:
-        raise ValueError("extension requires positive mass at zero; reduce support first")
-    out = np.zeros(n_max + 1, dtype=float)
-    upto = min(kappa - 1, n_max)
-    out[: upto + 1] = sup.mass[: upto + 1]
-    maxs = dist.max_support()
-    for n in range(kappa, n_max + 1):
-        if n == kappa:
-            val = out[0] - sum(out[i] * dist.cdf(kappa - i) for i in range(kappa))
-        else:
-            lo = 0 if maxs is None else max(0, n - maxs)
-            val = out[n - kappa] - sum(out[i] * dist.pmf(n - i) for i in range(lo, n))
-        out[n] = val / x0
-        if check_negative and out[n] < -tol_real:
-            raise NegativePi(
-                f"extended supremum mass at index {n} is {out[n]:.3e}; "
-                "upstream inputs or conditioning are suspect"
-            )
-    return out

@@ -1,37 +1,33 @@
 """Survival probabilities: finite-time grid, ultimate-time table, generating function.
 
-Ultimate-time values come from the supremum pmf: phi(u+1) is its partial sum,
-phi(0) a cdf-weighted combination, and larger u follow from the convolution
-recurrence. That forward recurrence is exponentially unstable once the
-characteristic equation has unit-disk roots of modulus < 1 (roundoff excites
-modes growing like (1/|alpha|)^u), so the table switches to the exact
-pole expansion of the generating function - a sum of decaying powers of the
-strictly-outside roots plus the constant 1 from the pole at s=1 - beyond a
-principled stability horizon. The two representations are asserted to agree
-where they overlap.
+Ultimate-time values come from the law of the walk supremum M: phi(u+1) =
+P(M <= u), and phi(0) is a cdf-weighted combination of the boundary masses.
+The masses themselves are read off the generating function
+G_M(s) = R(s) g(s) / Q1(s) by one FFT on a circle of radius r < 1, which
+needs no recurrence and so no stability horizon: roundoff is scaled by at
+most r^-u_max, a fixed factor. The product over the unit-disk roots gives a
+second, independent numerator for the same inversion, and the pole expansion
+over the roots outside the disk a third, closed-form evaluation of the table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .charpoly import CharPolynomial, RootSet, build_characteristic, find_unit_disk_roots, reduce_support
-from .distributions import ClaimDistribution, Geometric
-from .errors import (
-    MultipleRootsUnsupported,
-    NearPole,
-    RecurrenceBlowup,
-    UnsupportedKappa,
+from .distributions import ClaimDistribution
+from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
+from .supremum import (
+    SupremumPmf,
+    denominator_factor,
+    root_product,
+    row_polynomial_coeffs,
+    sup_pgf_masses,
+    sup_pmf_closed_form,
 )
-from .supremum import SupremumPmf, extend_sup_pmf, row_polynomial_coeffs
-
-_INJECTED_EPS = 1e-15
-_STABLE_TARGET = 1e-12
-_HUGE_HORIZON = 10**9
 
 
 @dataclass(frozen=True)
@@ -39,9 +35,6 @@ class SurvivalTable:
     phi: np.ndarray
     kappa: int
     method: str
-    stability_horizon: int
-    tail_start: int | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
@@ -89,13 +82,6 @@ class TailExpansion:
         return vals
 
 
-def _denominator_factor(dist: ClaimDistribution, s: complex) -> complex:
-    """g(s) with G_X(s) - s^kappa = -Q(s) / g(s); 1 except for the geometric law."""
-    if isinstance(dist, Geometric):
-        return 1.0 - dist.q * s
-    return 1.0 + 0.0j
-
-
 def tail_expansion(
     sup: SupremumPmf,
     dist: ClaimDistribution,
@@ -129,7 +115,7 @@ def tail_expansion(
     dq = npoly.polyder(char.coeffs)
     coeffs = np.empty(poles_arr.size, dtype=complex)
     for k, rho in enumerate(poles_arr):
-        g = _denominator_factor(dist, rho)
+        g = denominator_factor(dist, rho)
         qprime = npoly.polyval(rho, dq)
         if qprime == 0:
             return None
@@ -143,22 +129,13 @@ def tail_expansion(
     return TailExpansion(poles=poles_arr, coeffs=coeffs, unit_coeff=float(unit.real))
 
 
-def stability_horizon(roots: RootSet, *, target: float = _STABLE_TARGET) -> int:
-    """Largest table index the forward recurrences resolve to ~target accuracy.
-
-    Roundoff injected at scale ~1e-15 grows like (1/|alpha|)^u for each
-    unit-disk root alpha; boundary roots (|alpha| = 1) do not grow. A
-    multiplicity above one costs an extra decade of safety.
-    """
-    if not roots.roots:
-        return _HUGE_HORIZON
-    if not all(r.multiplicity == 1 for r in roots.roots):
-        target = target / 10.0
-    modulus = roots.min_modulus()
-    if modulus >= 1.0 - 1e-12:
-        return _HUGE_HORIZON
-    growth = math.log(1.0 / modulus)
-    return max(0, int(math.log(target / _INJECTED_EPS) / growth))
+def _solved_masses(
+    sup: SupremumPmf, dist: ClaimDistribution, kappa: int, char: CharPolynomial, n: int
+) -> np.ndarray:
+    """P(M = 0..n-1) inverted from G_M with the solved masses in R(s)."""
+    rcoeffs = survival_numerator_coeffs(sup, dist, kappa)
+    mass, _leak = sup_pgf_masses(lambda s: npoly.polyval(s, rcoeffs), dist, char, n)
+    return mass
 
 
 def ultimate_survival_table(
@@ -167,98 +144,32 @@ def ultimate_survival_table(
     kappa: int,
     u_max: int,
     *,
-    roots: RootSet | None = None,
-    char: CharPolynomial | None = None,
+    char: CharPolynomial,
     bound_tol: float = 1e-8,
-    overlap_tol: float = 1e-8,
 ) -> SurvivalTable:
     """phi(0)..phi(u_max) from the supremum pmf.
 
-    phi(u) for u <= kappa are partial sums of the pmf (phi(0) uses cdf
-    weights); beyond that the convolution recurrence runs up to the stability
-    horizon and the pole expansion carries the tail, with both checked to
-    agree on the overlap window.
+    phi(0) = sum_i mass_i F_X(kappa-1-i); phi(u+1) is the partial sum of the
+    masses P(M = 0..u), inverted from G_M with the solved masses in R(s).
     """
-    x0 = dist.pmf(0)
-    if x0 <= 0.0:
-        raise ValueError("ultimate table requires positive mass at zero; reduce support first")
-    warnings: list[str] = []
     phi = np.empty(u_max + 1, dtype=float)
     phi[0] = sum(sup.mass[i] * dist.cdf(kappa - 1 - i) for i in range(kappa))
-    csum = np.cumsum(sup.mass)
-    for u in range(1, min(kappa, u_max) + 1):
-        phi[u] = csum[u - 1]
-
-    horizon = stability_horizon(roots) if roots is not None else _HUGE_HORIZON
-    tail = None
-    if roots is not None and char is not None:
-        tail = tail_expansion(sup, dist, kappa, char, roots)
-    if x0 < 0.05 and u_max > 50:
-        warnings.append(f"low mass at zero (x0={x0:.3g}) with a long table; recurrence divides by x0 each step")
-    if horizon < u_max and tail is None:
-        warnings.append(
-            f"forward recurrence loses accuracy beyond u~{horizon} and no pole tail is available"
-        )
-
-    maxs = dist.max_support()
-    # the tail may only take over beyond the definitional partial-sum block
-    rec_end = u_max if tail is None else max(min(u_max, horizon), min(kappa, u_max))
-    for w in range(kappa + 1, rec_end + 1):
-        lo = 1 if maxs is None else max(1, w - maxs)
-        acc = sum(dist.pmf(w - i) * phi[i] for i in range(lo, w))
-        phi[w] = (phi[w - kappa] - acc) / x0
-        if not (-bound_tol <= phi[w] <= 1.0 + bound_tol):
-            raise RecurrenceBlowup(
-                f"phi({w}) = {phi[w]:.6g} left [0, 1]; forward recurrence is unstable here"
-            )
-
-    tail_start = None
-    method = "pi_sum+recurrence"
-    if tail is not None and rec_end < u_max:
-        tail_start = rec_end + 1
-        us = np.arange(tail_start, u_max + 1)
-        phi[tail_start:] = tail.phi(us - 1)
-        # overlap check: the last few recurrence values against the expansion
-        lo = max(kappa + 1, rec_end - kappa)
-        if lo <= rec_end:
-            overlap = np.arange(lo, rec_end + 1)
-            diff = np.max(np.abs(tail.phi(overlap - 1) - phi[lo : rec_end + 1]))
-            if diff > overlap_tol:
-                raise RecurrenceBlowup(
-                    f"recurrence and pole expansion disagree by {diff:.3e} at the stitch point"
-                )
-        method = "pi_sum+recurrence+pole_tail"
-
+    phi[1:] = np.cumsum(_solved_masses(sup, dist, kappa, char, u_max))
     if np.any(phi < -bound_tol) or np.any(phi > 1.0 + bound_tol):
         raise RecurrenceBlowup("survival table left [0, 1]")
-    return SurvivalTable(
-        phi=phi,
-        kappa=kappa,
-        method=method,
-        stability_horizon=horizon,
-        tail_start=tail_start,
-        warnings=tuple(warnings),
-    )
+    return SurvivalTable(phi=phi, kappa=kappa, method="pgf_fft")
 
 
 def closed_form_initial_values(roots: RootSet, dist: ClaimDistribution, kappa: int) -> np.ndarray:
-    """phi(0)..phi(kappa) by root products and the symmetric-function cascade.
+    """phi(0)..phi(kappa) from the unit-disk roots alone.
 
-    phi(0) = (kappa - E X) (-1)^(kappa+1) prod_j 1/(alpha_j - 1); the rest are
-    partial sums of the closed-form supremum pmf. Simple roots only.
+    phi(0) = (kappa - E X) / prod_j (1 - alpha_j); the rest are partial sums
+    of the root-product supremum pmf. Repeated roots count with multiplicity.
     """
-    from .supremum import sup_pmf_closed_form
-
-    if not roots.all_simple:
-        raise MultipleRootsUnsupported("closed-form initial values need simple roots")
     alphas = roots.values_with_multiplicity()
-    margin = kappa - dist.mean()
-    prod = complex(np.prod(alphas - 1.0)) if alphas.size else 1.0 + 0.0j
     out = np.empty(kappa + 1, dtype=float)
-    phi0 = margin * (-1.0) ** (kappa + 1) / prod
-    out[0] = phi0.real
-    mass = sup_pmf_closed_form(dist, kappa, roots).mass
-    out[1:] = np.cumsum(mass)
+    out[0] = ((kappa - dist.mean()) / np.prod(1.0 - alphas)).real
+    out[1:] = np.cumsum(sup_pmf_closed_form(dist, kappa, roots).mass)
     return out
 
 
@@ -313,61 +224,16 @@ def survival_gf_closed(
 
 
 def survival_gf_coefficients(
-    sup: SupremumPmf,
-    dist: ClaimDistribution,
-    kappa: int,
-    u_max: int,
-    *,
-    roots: RootSet | None = None,
-    char: CharPolynomial | None = None,
-    bound_tol: float = 1e-6,
-    overlap_tol: float = 1e-8,
+    dist: ClaimDistribution, kappa: int, u_max: int, *, roots: RootSet
 ) -> np.ndarray:
-    """phi(1)..phi(u_max+1) by power-series division of the generating function.
+    """phi(1)..phi(u_max+1) from the unit-disk roots alone.
 
-    An independent route to the ultimate table: long division of R(s) g(s) by
-    the characteristic polynomial -Q(s), with kappa guard coefficients
-    validating that the division has not drifted out of [0, 1]. Beyond the
-    stability horizon the pole expansion supplies the coefficients, exactly
-    as in the table route.
+    An independent route to the ultimate table: the same inversion of G_M,
+    with the root product in place of the solved masses.
     """
-    if char is None:
-        char = build_characteristic(dist, kappa)
-    num = survival_numerator_coeffs(sup, dist, kappa).astype(float)
-    gcoeffs = np.array([1.0]) if not isinstance(dist, Geometric) else np.array([1.0, -dist.q])
-    num_full = npoly.polymul(num, gcoeffs)
-    den = -char.coeffs
-    horizon = stability_horizon(roots) if roots is not None else _HUGE_HORIZON
-    tail = None
-    if roots is not None and char is not None:
-        tail = tail_expansion(sup, dist, kappa, char, roots)
-
-    n_div = u_max if tail is None else min(u_max, horizon)
-    n_guard = n_div + kappa
-    out = np.zeros(n_guard + 1, dtype=float)
-    for n in range(n_guard + 1):
-        acc = num_full[n] if n < num_full.size else 0.0
-        for k in range(1, min(n, den.size - 1) + 1):
-            acc -= den[k] * out[n - k]
-        out[n] = acc / den[0]
-    guards = out[n_div + 1 :]
-    if np.any(guards < -bound_tol) or np.any(guards > 1.0 + bound_tol):
-        if tail is None:
-            raise RecurrenceBlowup("series division drifted out of [0, 1] in the guard band")
-    coeffs = np.zeros(u_max + 1, dtype=float)
-    keep = min(n_div, u_max)
-    coeffs[: keep + 1] = out[: keep + 1]
-    if tail is not None and n_div < u_max:
-        us = np.arange(n_div + 1, u_max + 1)
-        coeffs[n_div + 1 :] = tail.phi(us)
-        lo = max(0, n_div - kappa)
-        overlap = np.arange(lo, n_div + 1)
-        diff = np.max(np.abs(tail.phi(overlap) - coeffs[lo : n_div + 1]))
-        if diff > overlap_tol:
-            raise RecurrenceBlowup(
-                f"series division and pole expansion disagree by {diff:.3e} at the stitch point"
-            )
-    return coeffs
+    char = build_characteristic(dist, kappa)
+    mass, _leak = sup_pgf_masses(root_product(dist, kappa, roots), dist, char, u_max + 1)
+    return np.cumsum(mass)
 
 
 def extend_sup_pmf_stable(
@@ -375,45 +241,22 @@ def extend_sup_pmf_stable(
     dist: ClaimDistribution,
     kappa: int,
     *,
-    roots: RootSet,
     char: CharPolynomial,
     tail_target: float = 1e-10,
     n_cap: int = 200_000,
 ) -> np.ndarray:
-    """Supremum pmf extended until the remaining tail mass is below target.
+    """P(M = 0..n), with n doubled until 1 - sum of the masses is below target.
 
-    The convolution recurrence runs inside its stability window; beyond it the
-    pole expansion supplies the masses. Raises if the target is unreachable.
+    Raises if the target is not met within n_cap terms.
     """
-    tail = tail_expansion(sup, dist, kappa, char, roots)
-    horizon = stability_horizon(roots)
-
-    def tail_mass(mass: np.ndarray) -> float:
-        if tail is None:
-            return 1.0 - float(mass.sum())
-        # P(M > n) from the outside poles alone: 1 - sum(mass) cancels down
-        # to a roundoff floor near 1e-12, below which no target is reachable
-        n = mass.size - 1
-        return -float((tail.coeffs[1:] * tail.poles[1:] ** -(n + 1.0)).sum().real)
-
     n = max(2 * kappa, 16)
     while True:
-        n_rec = min(n, max(horizon, kappa))
-        mass = extend_sup_pmf(sup, dist, kappa, n_rec, check_negative=False)
-        if n > n_rec:
-            if tail is None:
-                raise RecurrenceBlowup(
-                    "supremum tail target unreachable: recurrence horizon "
-                    f"{horizon} reached and no pole expansion is available"
-                )
-            ext = tail.sup_mass(np.arange(n_rec + 1, n + 1))
-            mass = np.concatenate([mass, ext])
-        if tail_mass(mass) < tail_target:
+        mass = _solved_masses(sup, dist, kappa, char, n + 1)
+        remaining = 1.0 - float(mass.sum())
+        if remaining < tail_target:
             return mass
         if n >= n_cap:
-            raise RecurrenceBlowup(
-                f"supremum tail still {tail_mass(mass):.3e} after {n} terms"
-            )
+            raise RecurrenceBlowup(f"supremum tail still {remaining:.3e} after {n} terms")
         n *= 2
 
 

@@ -23,7 +23,6 @@ from ruinwalk.survival import (
     enumerate_finite_time,
     extend_sup_pmf_stable,
     finite_time_grid,
-    stability_horizon,
     survival_gf,
     survival_gf_closed,
     survival_gf_coefficients,
@@ -113,7 +112,7 @@ def suprema_model4(double_root_dist):
 def phi_function(dist, kappa):
     """Analytic phi as a callable on arbitrary u, using the stable tail."""
     char, roots, sup = solve(dist, kappa)
-    table = ultimate_survival_table(sup, dist, kappa, 12, roots=roots, char=char)
+    table = ultimate_survival_table(sup, dist, kappa, 12, char=char)
     tail = tail_expansion(sup, dist, kappa, char, roots)
 
     def phi(u: int) -> float:
@@ -127,7 +126,7 @@ def phi_function(dist, kappa):
 def test_criterion_1_bernoulli_unit_premium(bernoulli):
     p = 0.3
     char, roots, sup = solve(bernoulli, 1)
-    table = ultimate_survival_table(sup, bernoulli, 1, 50, roots=roots, char=char)
+    table = ultimate_survival_table(sup, bernoulli, 1, 50, char=char)
     err0 = abs(table.phi[0] - (1.0 - p))
     err_ones = float(np.max(np.abs(table.phi[1:51] - 1.0)))
     gf_err = abs(survival_gf(sup, bernoulli, 1, 0.5) - 2.0)
@@ -145,7 +144,7 @@ def test_criterion_2_geometric_premium_two_three_routes(geometric, model2_soluti
     char, roots, sup = model2_solution
     printed0, printed1 = 0.0197691, 0.0295066
 
-    table = ultimate_survival_table(sup, geometric, 2, 3, roots=roots, char=char)
+    table = ultimate_survival_table(sup, geometric, 2, 3, char=char)
     solve_err = max(abs(table.phi[0] - printed0), abs(table.phi[1] - printed1))
 
     closed = closed_form_initial_values(roots, geometric, 2)
@@ -173,7 +172,7 @@ def test_criterion_3_geometric_premium_three(geometric, model3_solution):
     mass_err = float(
         np.max(np.abs(sup.mass - np.array([0.582072, 0.0818989, 0.0658497])))
     )
-    table = ultimate_survival_table(sup, geometric, 3, 3, roots=roots, char=char)
+    table = ultimate_survival_table(sup, geometric, 3, 3, char=char)
     phi_err = float(
         np.max(np.abs(table.phi - np.array([0.480212, 0.582072, 0.663971, 0.729821])))
     )
@@ -195,9 +194,9 @@ def test_criterion_4_double_root_model(double_root_dist, model4_solution):
     mult_ok = r.multiplicity == 2
     deriv_row_used = True  # the system would be singular otherwise; asserted below
     mass_err = float(np.max(np.abs(sup.mass - np.array([1.0, 0.0, 0.0]))))
-    table = ultimate_survival_table(sup, double_root_dist, 3, 5, roots=roots, char=char)
+    table = ultimate_survival_table(sup, double_root_dist, 3, 5, char=char)
     phi0_err = abs(table.phi[0] - 0.968)
-    coeffs = survival_gf_coefficients(sup, double_root_dist, 3, 30, roots=roots, char=char)
+    coeffs = survival_gf_coefficients(double_root_dist, 3, 30, roots=roots)
     coeff_err = float(np.max(np.abs(coeffs - 1.0)))
     ok = root_err <= 1e-8 and mult_ok and mass_err <= 1e-9 and phi0_err <= 1e-12 and coeff_err <= 1e-9
     criterion(
@@ -217,16 +216,15 @@ def test_criterion_5_route_agreement_random_models(random_models):
         sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
         closed = sup_pmf_closed_form(dist, kappa, roots)
         worst_mass = max(worst_mass, float(np.max(np.abs(sup.mass - closed.mass))))
-        window = int(min(25, stability_horizon(roots)))
-        table = ultimate_survival_table(sup, dist, kappa, window, roots=roots, char=char)
-        coeffs = survival_gf_coefficients(sup, dist, kappa, window - 1, roots=roots, char=char)
-        worst_table = max(worst_table, float(np.max(np.abs(coeffs - table.phi[1 : window + 1]))))
+        table = ultimate_survival_table(sup, dist, kappa, 25, char=char)
+        coeffs = survival_gf_coefficients(dist, kappa, 24, roots=roots)
+        worst_table = max(worst_table, float(np.max(np.abs(coeffs - table.phi[1:]))))
     ok = worst_mass <= 1e-9 and worst_table <= 1e-9
     criterion(
         5,
         ok,
-        f"200 random models: solve vs closed form {worst_mass:.2e}, recurrence vs series "
-        f"division {worst_table:.2e} (both <= 1e-9)",
+        f"200 random models: solve vs closed form {worst_mass:.2e}, table vs root product "
+        f"{worst_table:.2e} through u = 25 (both <= 1e-9)",
     )
     assert ok
 
@@ -246,7 +244,7 @@ def test_criterion_7_identity_residual_random_models(random_models):
     worst = 0.0
     for dist, kappa, roots, char in random_models:
         sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-        mass = extend_sup_pmf_stable(sup, dist, kappa, roots=roots, char=char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, dist, kappa, char=char, tail_target=1e-10)
         worst = max(worst, stationarity_identity_residual(mass, dist, kappa, pts))
     ok = worst <= 1e-8 + 1e-10
     criterion(
@@ -356,7 +354,7 @@ def test_criterion_9_stationarity_tv(
 
 def test_criterion_10_finite_time_convergence(geometric, model2_solution, model2_state_cap):
     char, roots, sup = model2_solution
-    table = ultimate_survival_table(sup, geometric, 2, 10, roots=roots, char=char)
+    table = ultimate_survival_table(sup, geometric, 2, 10, char=char)
     grid = finite_time_grid(geometric, 2, 10, CONVERGENCE_HORIZON, state_cap=model2_state_cap)
 
     monotone_t = bool(np.all(np.diff(grid.phi, axis=0) <= 1e-14))
@@ -389,7 +387,7 @@ def test_criterion_11_support_shift_reduction(shifted_dist):
     reduced, kappa2, shift = reduce_support(shifted_dist, 2)
     assert (kappa2, shift) == (1, 1)
     char, roots, sup = solve(reduced, kappa2)
-    table = ultimate_survival_table(sup, reduced, kappa2, 10, roots=roots, char=char)
+    table = ultimate_survival_table(sup, reduced, kappa2, 10, char=char)
 
     est = mc_survival(shifted_dist, 2, [0, 1, 2, 5], 200_000, 2000, seed=MC_SEED)
     mc_ok = True

@@ -100,8 +100,8 @@ class TestPipeline:
         names = {c.name for c in report.checks}
         assert "gf_identity_residual" in names and "mc_concordance_excess" in names
         assert report.all_passed
-        # closed forms are out of reach with a repeated root
-        assert "closed_form_agreement" not in names
+        # the root product takes the repeated root with its multiplicity
+        assert "closed_form_agreement" in names
 
     def test_verify_on_kappa2_includes_sequence_check(self):
         cfg = ModelConfig(
@@ -118,6 +118,20 @@ class TestPipeline:
         report = run_model(cfg)
         assert report.survival.phi.size == 2
         assert report.all_passed
+
+    @pytest.mark.parametrize(
+        "dist, kappa", [(Geometric(P), 2), (FinitePmf((0.3, 0.1, 0.2, 0.15, 0.25)), 3)]
+    )
+    def test_recurrence_check_matches_loop(self, dist, kappa):
+        # the convolution in the pipeline against the plain double loop
+        report = run_model(ModelConfig(kappa=kappa, dist=dist, u_max=80, t_max=5))
+        phi = report.survival.phi
+        loop = max(
+            abs(phi[u] - sum(dist.pmf(u + kappa - i) * phi[i] for i in range(1, u + kappa + 1)))
+            for u in range(0, 80 - kappa + 1)
+        )
+        value = next(c.value for c in report.checks if c.name == "recurrence_fixed_point")
+        assert value == pytest.approx(loop, abs=1e-15)
 
     def test_verify_simulates_suprema_once(self, monkeypatch):
         # concordance and stationarity read the same sample of walk suprema
@@ -162,6 +176,27 @@ class TestCliProcess:
         path.write_text("{nope")
         res = run_cli("--config", str(path))
         assert res.returncode == 2
+        assert "config error" in res.stderr
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"u_max": "ten"},
+            {"u_max": 2.9},
+            {"kappa": True},
+            {"mc": {"paths": None}},
+            {"dist": {"kind": "geometric", "p": "x"}},
+            {"dist": {"kind": "finite", "pmf": [0.5, "a"]}},
+            {"tolerances": {"tol_real": "x"}},
+        ],
+        ids=["u_max_str", "u_max_frac", "kappa_bool", "mc_null", "p_str", "pmf_str", "tol_str"],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, payload):
+        cfg = write_config(
+            tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": P}, **payload}
+        )
+        res = run_cli("--config", str(cfg))
+        assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
 
     def test_unknown_flag_rejected(self, tmp_path):
@@ -218,12 +253,6 @@ class TestCliProcess:
 
 class TestWarningPaths:
     """Each warning or diagnostic failure path has a reachable fixture config."""
-
-    def test_low_origin_mass_warning(self):
-        dist = FinitePmf((0.04, 0.46, 0.2, 0.3))  # x0 < 0.05
-        cfg = ModelConfig(kappa=2, dist=dist, u_max=60, t_max=5)
-        report = run_model(cfg)
-        assert any("low mass at zero" in w for w in report.warnings)
 
     def test_boundary_root_warning(self):
         cfg = ModelConfig(kappa=2, dist=FinitePmf((0.5, 0.0, 0.5)), u_max=5, t_max=5)

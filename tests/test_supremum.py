@@ -3,17 +3,15 @@ import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
-from ruinwalk.errors import MultipleRootsUnsupported, NegativePi
 from ruinwalk.supremum import (
     build_boundary_system,
     determinant_identity_error,
-    extend_sup_pmf,
     moment_row,
     row_polynomial_coeffs,
     solve_boundary_system,
     sup_pmf_closed_form,
 )
-from ruinwalk.survival import tail_expansion, ultimate_survival_table
+from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
 
 from conftest import PHI1_EXACT_K2
 
@@ -140,10 +138,11 @@ class TestClosedForm:
         assert worst <= 1e-9
 
     def test_rejects_multiple_roots(self, double_root_dist):
+        # the double root enters the root product twice
         char = build_characteristic(double_root_dist, 3)
         roots = find_unit_disk_roots(char)
-        with pytest.raises(MultipleRootsUnsupported):
-            sup_pmf_closed_form(double_root_dist, 3, roots)
+        closed = sup_pmf_closed_form(double_root_dist, 3, roots)
+        np.testing.assert_allclose(closed.mass, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 class TestDeterminantIdentity:
@@ -190,14 +189,14 @@ class TestVandermondeReduction:
 
 class TestExtension:
     def test_bernoulli_kappa1_all_zero(self, bernoulli):
-        _c, _r, _s, sup = solve_model(bernoulli, 1)
-        ext = extend_sup_pmf(sup, bernoulli, 1, 20)
+        char, _r, _s, sup = solve_model(bernoulli, 1)
+        ext = extend_sup_pmf_stable(sup, bernoulli, 1, char=char)
         assert ext[0] == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(ext[1:], 0.0, atol=1e-14)
 
     def test_double_root_concentrated(self, double_root_dist):
-        _c, _r, _s, sup = solve_model(double_root_dist, 3)
-        ext = extend_sup_pmf(sup, double_root_dist, 3, 12)
+        char, _r, _s, sup = solve_model(double_root_dist, 3)
+        ext = extend_sup_pmf_stable(sup, double_root_dist, 3, char=char)
         assert ext[0] == pytest.approx(1.0, abs=1e-11)
         np.testing.assert_allclose(ext[1:], 0.0, atol=1e-10)
 
@@ -205,15 +204,7 @@ class TestExtension:
         char = build_characteristic(geometric, 3)
         roots = find_unit_disk_roots(char)
         sup = solve_boundary_system(build_boundary_system(geometric, 3, roots))
-        table = ultimate_survival_table(sup, geometric, 3, 26, roots=roots, char=char)
-        ext = extend_sup_pmf(sup, geometric, 3, 25)
+        table = ultimate_survival_table(sup, geometric, 3, 26, char=char)
+        ext = extend_sup_pmf_stable(sup, geometric, 3, char=char)
         diffs = table.phi[2:26] - table.phi[1:25]  # phi(u+1)-phi(u) = P(M=u)
         np.testing.assert_allclose(ext[1:25], diffs, atol=1e-10)
-
-    def test_negative_mass_detected(self, geometric):
-        char = build_characteristic(geometric, 2)
-        roots = find_unit_disk_roots(char)
-        sup = solve_boundary_system(build_boundary_system(geometric, 2, roots))
-        # far beyond the stability horizon the recurrence must go negative
-        with pytest.raises(NegativePi):
-            extend_sup_pmf(sup, geometric, 2, 2000)

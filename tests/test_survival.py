@@ -3,14 +3,13 @@ import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
-from ruinwalk.errors import MultipleRootsUnsupported, NearPole, UnsupportedKappa
+from ruinwalk.errors import NearPole, UnsupportedKappa
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system
 from ruinwalk.survival import (
     closed_form_initial_values,
     enumerate_finite_time,
     extend_sup_pmf_stable,
     finite_time_grid,
-    stability_horizon,
     survival_gf,
     survival_gf_closed,
     survival_gf_coefficients,
@@ -31,27 +30,27 @@ def solve_model(dist, kappa):
 class TestUltimateTable:
     def test_geometric_kappa3_reference_values(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 10, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 3, 10, char=char)
         np.testing.assert_allclose(
             table.phi[:4], [0.480212, 0.582072, 0.663971, 0.729821], atol=1e-5
         )
 
     def test_double_root_values(self, double_root_dist):
         char, roots, sup = solve_model(double_root_dist, 3)
-        table = ultimate_survival_table(sup, double_root_dist, 3, 25, roots=roots, char=char)
+        table = ultimate_survival_table(sup, double_root_dist, 3, 25, char=char)
         assert table.phi[0] == pytest.approx(0.968, abs=1e-12)
         np.testing.assert_allclose(table.phi[1:], 1.0, atol=1e-12)
 
     def test_geometric_kappa2_exact_targets(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 5, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 2, 5, char=char)
         assert table.phi[0] == pytest.approx(PHI0_EXACT_K2, abs=1e-12)
         assert table.phi[1] == pytest.approx(PHI1_EXACT_K2, abs=1e-12)
 
     def test_monotone_and_bounded(self, random_models):
         for dist, kappa, roots, char in random_models[:60]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, 30, roots=roots, char=char)
+            table = ultimate_survival_table(sup, dist, kappa, 30, char=char)
             assert np.all(table.phi >= -1e-10)
             assert np.all(table.phi <= 1.0 + 1e-10)
             assert np.all(np.diff(table.phi) >= -1e-10)
@@ -60,13 +59,13 @@ class TestUltimateTable:
         # phi(0) = sum_{i=1}^{kappa} x_{kappa-i} phi(i)
         for dist, kappa, roots, char in random_models[:60]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, kappa + 1, roots=roots, char=char)
+            table = ultimate_survival_table(sup, dist, kappa, kappa + 1, char=char)
             acc = sum(dist.pmf(kappa - i) * table.phi[i] for i in range(1, kappa + 1))
             assert abs(table.phi[0] - acc) <= 1e-12
 
     def test_recurrence_fixed_point(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 40, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 3, 40, char=char)
         for u in range(0, 37):
             acc = sum(geometric.pmf(u + 3 - i) * table.phi[i] for i in range(1, u + 4))
             assert abs(table.phi[u] - acc) <= 1e-10
@@ -74,10 +73,31 @@ class TestUltimateTable:
     def test_deep_table_is_stable_and_monotone(self, geometric):
         # far beyond the naive recurrence's stability horizon
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 400, roots=roots, char=char)
-        assert table.tail_start is not None
+        table = ultimate_survival_table(sup, geometric, 2, 400, char=char)
         assert np.all(np.diff(table.phi) >= -1e-12)
         assert table.phi[-1] < 1.0
+
+    def test_deep_table_matches_exact_reference(self, geometric):
+        # with alpha, rho the roots of q s^2 - p s - p = 0, |alpha| < 1 < rho,
+        # and c = (2 - EX)/((1 - alpha) q rho): P(M = 0) = c and
+        # P(M = n) = c (1 - q rho) rho^-n for n >= 1
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        p, q = mp.mpf(geometric.p), 1 - mp.mpf(geometric.p)
+        disc = mp.sqrt(p * p + 4 * q * p)
+        alpha, rho = (p - disc) / (2 * q), (p + disc) / (2 * q)
+        c = (2 - q / p) / ((1 - alpha) * q * rho)
+        mass = [c] + [c * (1 - q * rho) * rho ** -n for n in range(1, 2000)]
+        exact = [mass[0] * (1 - q * q) + mass[1] * p]  # phi(0) = m0 F(1) + m1 F(0)
+        total = mp.mpf(0)
+        for m in mass:
+            total += m
+            exact.append(total)
+        char, roots, sup = solve_model(geometric, 2)
+        table = ultimate_survival_table(sup, geometric, 2, 2000, char=char)
+        err = np.max(np.abs(table.phi - np.array([float(v) for v in exact])))
+        assert err <= 2e-13
 
     def test_convergence_to_one(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
@@ -88,24 +108,19 @@ class TestUltimateTable:
             assert u < 2**20
         assert 1.0 - tail.phi(np.array([float(u - 1)]))[0] <= 1e-3
 
-    def test_blowup_detected_without_tail(self, geometric):
-        # with no pole expansion available the bare recurrence must fail loudly
-        # once the amplified roundoff pushes values out of [0, 1]
-        from ruinwalk.errors import RecurrenceBlowup
-
-        char, roots, sup = solve_model(geometric, 2)
-        with pytest.raises(RecurrenceBlowup):
-            ultimate_survival_table(sup, geometric, 2, 120)
-
 
 class TestStabilityMachinery:
-    def test_horizon_unbounded_without_roots(self, bernoulli):
-        roots = find_unit_disk_roots(build_characteristic(bernoulli, 1))
-        assert stability_horizon(roots) > 10**8
-
-    def test_horizon_unbounded_for_boundary_roots(self):
-        roots = find_unit_disk_roots(build_characteristic(FinitePmf((0.5, 0.0, 0.5)), 2))
-        assert stability_horizon(roots) > 10**8
+    def test_boundary_root_table(self):
+        # roots on the unit circle: the table matches the root product and
+        # the pole expansion all the way out
+        dist = FinitePmf((0.5, 0.0, 0.5))
+        char, roots, sup = solve_model(dist, 2)
+        assert roots.roots[0].on_boundary
+        table = ultimate_survival_table(sup, dist, 2, 200, char=char)
+        coeffs = survival_gf_coefficients(dist, 2, 199, roots=roots)
+        np.testing.assert_allclose(coeffs, table.phi[1:], atol=1e-12)
+        tail = tail_expansion(sup, dist, 2, char, roots)
+        np.testing.assert_allclose(tail.phi(np.arange(200)), table.phi[1:], atol=1e-12)
 
     def test_unit_pole_coefficient_is_one(self, random_models):
         for dist, kappa, roots, char in random_models[:60]:
@@ -117,7 +132,7 @@ class TestStabilityMachinery:
     def test_tail_matches_recurrence_in_overlap(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
         tail = tail_expansion(sup, geometric, 2, char, roots)
-        table = ultimate_survival_table(sup, geometric, 2, 10, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 2, 10, char=char)
         us = np.arange(3, 11)
         np.testing.assert_allclose(tail.phi(us - 1.0), table.phi[3:11], atol=1e-11)
 
@@ -165,14 +180,15 @@ class TestClosedFormInitialValues:
     def test_agrees_with_table(self, random_models):
         for dist, kappa, roots, char in random_models[:80]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, kappa, roots=roots, char=char)
+            table = ultimate_survival_table(sup, dist, kappa, kappa, char=char)
             vals = closed_form_initial_values(roots, dist, kappa)
             assert np.max(np.abs(vals - table.phi[: kappa + 1])) <= 1e-9
 
     def test_rejects_multiple_roots(self, double_root_dist):
+        # the double root enters the root product twice
         roots = find_unit_disk_roots(build_characteristic(double_root_dist, 3))
-        with pytest.raises(MultipleRootsUnsupported):
-            closed_form_initial_values(roots, double_root_dist, 3)
+        vals = closed_form_initial_values(roots, double_root_dist, 3)
+        np.testing.assert_allclose(vals, [0.968, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 class TestGeneratingFunction:
@@ -228,48 +244,47 @@ class TestClosedGf:
 class TestSeriesCoefficients:
     def test_first_coefficient(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(sup, geometric, 3, 0, roots=roots, char=char)
+        coeffs = survival_gf_coefficients(geometric, 3, 0, roots=roots)
         assert coeffs[0] == pytest.approx(sup.mass[0], abs=1e-14)
 
     def test_geometric_kappa3_reference_values(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(sup, geometric, 3, 2, roots=roots, char=char)
+        coeffs = survival_gf_coefficients(geometric, 3, 2, roots=roots)
         np.testing.assert_allclose(coeffs, [0.582072, 0.663971, 0.729821], atol=1e-5)
 
     def test_double_root_all_ones(self, double_root_dist):
         char, roots, sup = solve_model(double_root_dist, 3)
-        coeffs = survival_gf_coefficients(sup, double_root_dist, 3, 30, roots=roots, char=char)
+        coeffs = survival_gf_coefficients(double_root_dist, 3, 30, roots=roots)
         np.testing.assert_allclose(coeffs, 1.0, atol=1e-12)
 
     def test_agrees_with_table_route(self, random_models):
         for dist, kappa, roots, char in random_models:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            window = int(min(25, stability_horizon(roots)))
-            table = ultimate_survival_table(sup, dist, kappa, window, roots=roots, char=char)
-            coeffs = survival_gf_coefficients(sup, dist, kappa, window - 1, roots=roots, char=char)
-            assert np.max(np.abs(coeffs - table.phi[1 : window + 1])) <= 1e-9
+            table = ultimate_survival_table(sup, dist, kappa, 25, char=char)
+            coeffs = survival_gf_coefficients(dist, kappa, 24, roots=roots)
+            assert np.max(np.abs(coeffs - table.phi[1:])) <= 1e-9
 
 
 class TestStableExtension:
     def test_reaches_target(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-10)
         assert 1.0 - mass.sum() < 1e-10
         assert mass.min() >= -1e-12
 
     def test_matches_table_differences(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char, tail_target=1e-10)
-        table = ultimate_survival_table(sup, geometric, 2, 200, roots=roots, char=char)
+        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-10)
+        table = ultimate_survival_table(sup, geometric, 2, 200, char=char)
         diffs = table.phi[2:200] - table.phi[1:199]
         np.testing.assert_allclose(mass[1:199], diffs, atol=1e-11)
 
     def test_target_below_roundoff_floor_of_mass_sum(self, geometric):
-        # 1 - sum(mass) bottoms out near 1e-12; the pole expansion measures
-        # the remaining tail itself, so a 1e-12 target is still reachable
+        # 1 - sum(mass) of the inverted pmf has no roundoff floor near 1e-12,
+        # so a 1e-12 target is reachable
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char, tail_target=1e-12)
-        default = extend_sup_pmf_stable(sup, geometric, 2, roots=roots, char=char)
+        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-12)
+        default = extend_sup_pmf_stable(sup, geometric, 2, char=char)
         assert mass.size == default.size == 4097
         assert mass.min() >= -1e-12
 
@@ -310,7 +325,7 @@ class TestFiniteTime:
 
     def test_dominates_ultimate(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 8, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 2, 8, char=char)
         grid = finite_time_grid(geometric, 2, 8, 60)
         assert np.all(grid.phi[-1] >= table.phi[:9] - 1e-12)
 

@@ -48,7 +48,7 @@ class TestMcSurvival:
 
     def test_concordance_small_scale(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 10, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 3, 10, char=char)
         est = mc_survival(geometric, 3, [0, 1, 2, 5, 10], paths=100_000, horizon=800, seed=12)
         for i, u in enumerate(est.u):
             # horizon bias at kappa=3 is far below the sampling noise
@@ -135,7 +135,7 @@ class TestSequenceLimits:
 
     def test_agrees_with_solver(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 2, roots=roots, char=char)
+        table = ultimate_survival_table(sup, geometric, 2, 2, char=char)
         lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
         assert abs(lim.phi0 - table.phi[0]) <= 1e-6
         assert abs(lim.phi1 - table.phi[1]) <= 1e-6
@@ -144,26 +144,26 @@ class TestSequenceLimits:
 class TestIdentityResidual:
     def test_both_sides_vanish_at_one(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, roots=roots, char=char)
+        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
         res = stationarity_identity_residual(mass, geometric, 3, [1.0])
         assert res <= 1e-9
 
     def test_value_at_zero(self, geometric):
         # at s=0 both sides reduce to -m0 x0
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, roots=roots, char=char)
+        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
         res = stationarity_identity_residual(mass, geometric, 3, [0.0])
         assert res <= 1e-12
 
     def test_circle_points(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, roots=roots, char=char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char, tail_target=1e-10)
         res = stationarity_identity_residual(mass, geometric, 3, default_identity_points())
         assert res <= 1e-8 + 1e-10
 
     def test_wrong_mass_detected(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, roots=roots, char=char)
+        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
         corrupted = mass.copy()
         corrupted[0] += 1e-3
         res = stationarity_identity_residual(corrupted, geometric, 3, default_identity_points())
