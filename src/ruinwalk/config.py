@@ -83,7 +83,11 @@ def load_config(path: str | Path) -> ModelConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}") from None
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     return config_from_dict(raw)

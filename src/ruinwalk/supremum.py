@@ -50,44 +50,40 @@ class SupremumPmf:
         object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
 
 
-def row_polynomial_coeffs(dist: ClaimDistribution, kappa: int, i: int) -> np.ndarray:
-    """Coefficients of sum_{j=0}^{kappa-1-i} F_X(j) s^(i+j), lowest degree first."""
-    coeffs = np.zeros(kappa, dtype=float)
-    for j in range(kappa - i):
-        coeffs[i + j] = dist.cdf(j)
-    return coeffs
+def cdf_toeplitz(dist: ClaimDistribution, kappa: int) -> np.ndarray:
+    """The cdf factor C[k, i] = F_X(k - i) of the boundary system, zero above the diagonal.
 
-
-def moment_row(dist: ClaimDistribution, kappa: int) -> np.ndarray:
-    row = np.zeros(kappa, dtype=float)
-    for i in range(kappa):
-        row[i] = sum(dist.pmf(j) * (kappa - i - j) for j in range(kappa - i))
-    return row
+    Column i holds the coefficients, lowest degree first, of the row
+    polynomial sum_j F_X(j) s^(i+j) that multiplies mass i. C @ mass is the
+    numerator R(s) of G_M, and the column sums of C form the moment row.
+    """
+    cdf = np.array([dist.cdf(j) for j in range(kappa)], dtype=float)
+    k = np.arange(kappa)
+    return np.tril(cdf[k[:, None] - k])  # negative lags wrap, then tril zeroes them
 
 
 def build_boundary_system(dist: ClaimDistribution, kappa: int, roots: RootSet) -> BoundarySystem:
     """Assemble the kappa x kappa system for the first supremum probabilities.
 
-    For a root of multiplicity l, derivative orders 0..l-1 of the row
-    polynomial replace what would otherwise be l identical rows. The last row
-    is the moment row with right-hand side kappa - E X.
+    A root row evaluates every column of the cdf factor at the root by
+    Horner's rule; for a root of multiplicity l, derivative orders 0..l-1
+    replace what would otherwise be l identical rows. The last row is the
+    moment row with right-hand side kappa - E X. The rows are not formed as a
+    Vandermonde product V @ C: near a tiny root that product leaves roundoff
+    where Horner's rule cancels to exact zeros.
     """
-    n = kappa
-    matrix = np.zeros((n, n), dtype=complex)
+    cdf = cdf_toeplitz(dist, kappa)
+    rows = []
     kinds: list = []
-    r = 0
-    row_polys = [row_polynomial_coeffs(dist, kappa, i) for i in range(n)]
     for root in roots.roots:
         for order in range(root.multiplicity):
-            for i in range(n):
-                matrix[r, i] = npoly.polyval(root.value, npoly.polyder(row_polys[i], order)) \
-                    if order else npoly.polyval(root.value, row_polys[i])
+            rows.append(npoly.polyval(root.value, npoly.polyder(cdf, order)))
             kinds.append((root.value, order))
-            r += 1
-    matrix[n - 1, :] = moment_row(dist, kappa)
+    rows.append(cdf.sum(axis=0))
     kinds.append("moment")
-    rhs = np.zeros(n, dtype=complex)
-    rhs[n - 1] = kappa - dist.mean()
+    matrix = np.array(rows, dtype=complex)
+    rhs = np.zeros(kappa, dtype=complex)
+    rhs[-1] = kappa - dist.mean()
     return BoundarySystem(matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), kappa=kappa)
 
 

@@ -22,12 +22,18 @@ from .distributions import ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
 from .supremum import (
     SupremumPmf,
+    cdf_toeplitz,
     denominator_factor,
     root_product,
-    row_polynomial_coeffs,
     sup_pgf_masses,
     sup_pmf_closed_form,
 )
+
+# outside roots closer than this are too near a double pole for the
+# simple-pole tail expansion
+_POLE_SEPARATION = 1e-6
+# longest supremum pmf the extension computes before it gives up
+_EXTENSION_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -50,14 +56,6 @@ class FiniteTimeGrid:
 
     def value(self, u: int, t: int) -> float:
         return float(self.phi[t - 1, u])
-
-
-def survival_numerator_coeffs(sup: SupremumPmf, dist: ClaimDistribution, kappa: int) -> np.ndarray:
-    """Coefficients of R(s) = sum_i mass_i sum_j F_X(j) s^(i+j); degree <= kappa-1."""
-    coeffs = np.zeros(kappa, dtype=float)
-    for i in range(kappa):
-        coeffs += sup.mass[i] * row_polynomial_coeffs(dist, kappa, i)
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,6 @@ def tail_expansion(
     kappa: int,
     char: CharPolynomial,
     roots: RootSet,
-    *,
-    separation_tol: float = 1e-6,
 ) -> TailExpansion | None:
     """Exact pole expansion of the survival generating function.
 
@@ -103,12 +99,12 @@ def tail_expansion(
     is asserted. Returns None when outside roots are too close to each other
     for the simple-pole formula.
     """
-    rcoeffs = survival_numerator_coeffs(sup, dist, kappa)
+    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
     poles = [1.0 + 0.0j]
     outs = list(roots.outside)
     for i, w in enumerate(outs):
         for v in outs[i + 1 :]:
-            if abs(w - v) <= separation_tol:
+            if abs(w - v) <= _POLE_SEPARATION:
                 return None
     poles.extend(outs)
     poles_arr = np.array(poles, dtype=complex)
@@ -130,10 +126,9 @@ def tail_expansion(
 
 
 def _solved_masses(
-    sup: SupremumPmf, dist: ClaimDistribution, kappa: int, char: CharPolynomial, n: int
+    rcoeffs: np.ndarray, dist: ClaimDistribution, char: CharPolynomial, n: int
 ) -> np.ndarray:
-    """P(M = 0..n-1) inverted from G_M with the solved masses in R(s)."""
-    rcoeffs = survival_numerator_coeffs(sup, dist, kappa)
+    """P(M = 0..n-1) inverted from G_M, with R(s) = C @ mass from the solved masses."""
     mass, _leak = sup_pgf_masses(lambda s: npoly.polyval(s, rcoeffs), dist, char, n)
     return mass
 
@@ -149,12 +144,14 @@ def ultimate_survival_table(
 ) -> SurvivalTable:
     """phi(0)..phi(u_max) from the supremum pmf.
 
-    phi(0) = sum_i mass_i F_X(kappa-1-i); phi(u+1) is the partial sum of the
-    masses P(M = 0..u), inverted from G_M with the solved masses in R(s).
+    phi(0) = sum_i mass_i F_X(kappa-1-i), the top coefficient of R(s);
+    phi(u+1) is the partial sum of the masses P(M = 0..u), inverted from G_M
+    with the solved masses in R(s).
     """
+    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
     phi = np.empty(u_max + 1, dtype=float)
-    phi[0] = sum(sup.mass[i] * dist.cdf(kappa - 1 - i) for i in range(kappa))
-    phi[1:] = np.cumsum(_solved_masses(sup, dist, kappa, char, u_max))
+    phi[0] = rcoeffs[-1]
+    phi[1:] = np.cumsum(_solved_masses(rcoeffs, dist, char, u_max))
     if np.any(phi < -bound_tol) or np.any(phi > 1.0 + bound_tol):
         raise RecurrenceBlowup("survival table left [0, 1]")
     return SurvivalTable(phi=phi, kappa=kappa, method="pgf_fft")
@@ -178,7 +175,7 @@ def survival_gf(sup: SupremumPmf, dist: ClaimDistribution, kappa: int, s: comple
     den = dist.pgf(s) - s**kappa
     if abs(den) <= 1e-12:
         raise NearPole(f"generating function evaluated within 1e-12 of a zero of G_X(s)-s^kappa at s={s}")
-    num = npoly.polyval(s, survival_numerator_coeffs(sup, dist, kappa))
+    num = npoly.polyval(s, cdf_toeplitz(dist, kappa) @ sup.mass)
     return num / den
 
 
@@ -243,19 +240,19 @@ def extend_sup_pmf_stable(
     *,
     char: CharPolynomial,
     tail_target: float = 1e-10,
-    n_cap: int = 200_000,
 ) -> np.ndarray:
     """P(M = 0..n), with n doubled until 1 - sum of the masses is below target.
 
-    Raises if the target is not met within n_cap terms.
+    Raises if the target is not met within _EXTENSION_CAP terms.
     """
+    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
     n = max(2 * kappa, 16)
     while True:
-        mass = _solved_masses(sup, dist, kappa, char, n + 1)
+        mass = _solved_masses(rcoeffs, dist, char, n + 1)
         remaining = 1.0 - float(mass.sum())
         if remaining < tail_target:
             return mass
-        if n >= n_cap:
+        if n >= _EXTENSION_CAP:
             raise RecurrenceBlowup(f"supremum tail still {remaining:.3e} after {n} terms")
         n *= 2
 

@@ -13,9 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .distributions import ClaimDistribution, check_net_profit
 from .errors import NonConvergence
+from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
 
 _CHUNK = 65_536
@@ -364,10 +366,11 @@ def stationarity_identity_residual(
 ) -> float:
     """Max residual of the defining generating-function identity.
 
-    With G_M the (truncated) generating function of the supremum pmf,
+    With G_M the (truncated) generating function of the supremum pmf and
+    R(s) = C @ mass[:kappa] the numerator built from the cdf factor C,
 
-        G_M(s) (s^kappa - G_X(s)) = sum_{i<kappa} m_i sum_{j<=kappa-1-i}
-                                      x_j (s^kappa - s^{i+j})
+        G_M(s) (s^kappa - G_X(s)) = (s - 1) R(s)
+                                  = sum_{i<kappa} m_i sum_{j<=kappa-1-i} x_j (s^kappa - s^{i+j})
 
     must hold on the closed disk; the maximum modulus of the difference over
     the sample points is returned.
@@ -376,18 +379,10 @@ def stationarity_identity_residual(
         sample_points = default_identity_points()
     pts = np.asarray(sample_points, dtype=complex)
     mass = np.asarray(extended_mass, dtype=float)
-    worst = 0.0
-    for s in pts:
-        gm = np.polynomial.polynomial.polyval(s, mass)
-        lhs = gm * (s**kappa - dist.pgf(s))
-        rhs = 0.0 + 0.0j
-        for i in range(kappa):
-            inner = sum(
-                dist.pmf(j) * (s**kappa - s ** (i + j)) for j in range(kappa - i)
-            )
-            rhs += mass[i] * inner
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pgf = np.array([dist.pgf(s) for s in pts], dtype=complex)
+    lhs = npoly.polyval(pts, mass) * (pts**kappa - pgf)
+    rhs = (pts - 1.0) * npoly.polyval(pts, cdf_toeplitz(dist, kappa) @ mass[:kappa])
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def horizon_bias_bound(

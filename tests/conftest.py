@@ -9,11 +9,7 @@ from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots, reduce
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import AmbiguousCluster, RootCountMismatch
 
-GEOMETRIC_P = 101.0 / 300.0
-
-# exact algebraic values for the geometric law at kappa=2
-PHI0_EXACT_K2 = (np.sqrt(90597.0) - 297.0) / 202.0
-PHI1_EXACT_K2 = (45450.0 - 150.0 * np.sqrt(90597.0)) / 10201.0
+from reference_values import GEOMETRIC_P
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ from ruinwalk.verification import (
     stationarity_identity_residual,
 )
 
-from conftest import GEOMETRIC_P, PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import GEOMETRIC_P, PHI0_EXACT_K2, PHI1_EXACT_K2
 
 MC_PATHS = 1_000_000
 MC_HORIZON = 5_000

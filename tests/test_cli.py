@@ -84,6 +84,12 @@ class TestPipeline:
         assert np.all(report.survival.phi[1:] == 1.0)
         assert report.sup_mass[0] == 1.0
 
+    def test_trivial_model_grid_has_configured_size(self):
+        cfg = ModelConfig(kappa=2, dist=FinitePmf((0.0, 0.0, 1.0)), u_max=30, t_max=200)
+        grid = run_model(cfg).finite_time.phi
+        assert grid.shape == (200, 31)
+        assert np.all(grid[:, 0] == 0.0) and np.all(grid[:, 1:] == 1.0)
+
     def test_shifted_model_reduces(self, shifted_dist):
         cfg = ModelConfig(kappa=2, dist=shifted_dist, u_max=6, t_max=10)
         report = run_model(cfg)
@@ -176,6 +182,17 @@ class TestCliProcess:
         path.write_text("{nope")
         res = run_cli("--config", str(path))
         assert res.returncode == 2
+        assert "config error" in res.stderr
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, kind):
+        path = tmp_path / "model.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"kappa": 2, "dist": "\xff"}')
+        res = run_cli("--config", str(path))
+        assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
 
     @pytest.mark.parametrize(

@@ -5,15 +5,15 @@ from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.supremum import (
     build_boundary_system,
+    cdf_toeplitz,
     determinant_identity_error,
-    moment_row,
-    row_polynomial_coeffs,
     solve_boundary_system,
     sup_pmf_closed_form,
 )
 from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
+from ruinwalk.verification import default_identity_points
 
-from conftest import PHI1_EXACT_K2
+from reference_values import PHI1_EXACT_K2
 
 
 def solve_model(dist, kappa):
@@ -73,19 +73,44 @@ class TestAssembly:
         system = build_boundary_system(d, 3, roots)
         a = roots.roots[0].value
         delta = 1e-6
-        polys = [row_polynomial_coeffs(d, 3, i) for i in range(3)]
+        cdf = cdf_toeplitz(d, 3)  # column i is the row polynomial of mass i
         pv = np.polynomial.polynomial.polyval
-        fd = np.array([(pv(a + delta, c) - pv(a, c)) / delta for c in polys])
+        fd = (pv(a + delta, cdf) - pv(a, cdf)) / delta
         np.testing.assert_allclose(system.matrix[1], fd, atol=1e-4)
 
     def test_moment_row_identity(self, geometric):
-        # the moment row is the per-column sum of cdf values
+        # the moment row is the column sums of the cdf factor; they equal the
+        # pmf-weighted first-moment row sum_j x_j (kappa - i - j)
         for kappa in (1, 2, 3, 5):
-            row = moment_row(geometric, kappa)
+            row = cdf_toeplitz(geometric, kappa).sum(axis=0)
             alt = [
-                sum(geometric.cdf(j) for j in range(kappa - i)) for i in range(kappa)
+                sum(geometric.pmf(j) * (kappa - i - j) for j in range(kappa - i))
+                for i in range(kappa)
             ]
             np.testing.assert_allclose(row, alt, atol=1e-14)
+
+
+class TestCdfFactor:
+    def test_matches_row_sums_and_identity_rhs(self, random_models):
+        # reference: the per-row sums the cdf factor replaced, written out
+        pts = default_identity_points()
+        for dist, kappa, roots, _char in random_models:
+            mass = solve_boundary_system(build_boundary_system(dist, kappa, roots)).mass
+            r_loop = np.zeros(kappa)
+            for i in range(kappa):
+                for j in range(kappa - i):
+                    r_loop[i + j] += mass[i] * dist.cdf(j)
+            r = cdf_toeplitz(dist, kappa) @ mass
+            np.testing.assert_allclose(r, r_loop, rtol=0, atol=1e-14)
+            for s in pts:
+                rhs_loop = 0.0 + 0.0j
+                for i in range(kappa):
+                    inner = sum(
+                        dist.pmf(j) * (s**kappa - s ** (i + j)) for j in range(kappa - i)
+                    )
+                    rhs_loop += mass[i] * inner
+                rhs = (s - 1.0) * np.polynomial.polynomial.polyval(s, r)
+                assert abs(rhs - rhs_loop) <= 1e-14
 
 
 class TestSolve:
@@ -113,7 +138,7 @@ class TestSolve:
             system = build_boundary_system(dist, kappa, roots)
             sup = solve_boundary_system(system)
             lhs = kappa - dist.mean()
-            rhs = float(moment_row(dist, kappa) @ sup.mass)
+            rhs = float(system.matrix[-1].real @ sup.mass)
             assert abs(lhs - rhs) <= 1e-10
 
 

@@ -17,7 +17,7 @@ from ruinwalk.survival import (
     ultimate_survival_table,
 )
 
-from conftest import PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
 
 
 def solve_model(dist, kappa):

@@ -15,7 +15,7 @@ from ruinwalk.verification import (
     stationarity_identity_residual,
 )
 
-from conftest import PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
 
 
 def solve_model(dist, kappa):
