@@ -77,6 +77,7 @@ class FinitePmf(ClaimDistribution):
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_cdf", np.cumsum(p))
         object.__setattr__(self, "_mean", float(np.arange(p.size) @ p))
+        object.__setattr__(self, "_guide", None)
 
     @property
     def kind(self) -> str:
@@ -112,11 +113,54 @@ class FinitePmf(ClaimDistribution):
         return self._p.copy(), 0.0
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """searchsorted(cdf, u, side="right") for uniform u, read from a guide table.
+
+        Indexed search (Chen & Asau, AIIE Trans. 6, 1974): u lies in bucket
+        j = floor(u K) of K equal buckets, and K is a power of two, so u K and
+        j / K are exact. Within a bucket the answer is `below[j]`, the count of
+        cdf points <= j / K, plus the count of points strictly inside the
+        bucket that are <= u. When those inside points share one value the
+        count is one comparison; draws in buckets holding several distinct
+        values are searched directly.
+        """
+        if self._guide is None:
+            object.__setattr__(self, "_guide", _guide_table(self._cdf))
+        k, below, split, step, multi = self._guide
         u = rng.random(size)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+        j = (u * k).astype(np.intp)
+        out = below[j]
+        out += (u >= split[j]) * step[j]
+        if multi is not None:
+            hit = multi[j]
+            out[hit] = np.searchsorted(self._cdf, u[hit], side="right")
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "finite", "pmf": list(self.probabilities)}
+
+
+def _guide_table(cdf: np.ndarray):
+    """Buckets of the guide-table sampler: (K, below, split, step, multi).
+
+    K is a power of two >= max(256, 4 * support), so most buckets hold at
+    most one cdf value. `split[j]` is that value for a bucket whose interior
+    points are all equal (inf otherwise) and `step[j]` their count; `multi`
+    flags the buckets with several distinct interior values, or is None.
+    """
+    k = 256
+    while k < 4 * cdf.size:
+        k *= 2
+    edges = np.arange(k + 1) / k
+    below = np.searchsorted(cdf, edges[:-1], side="right")
+    upto = np.searchsorted(cdf, edges[1:], side="left")
+    inside = upto > below
+    first = cdf[np.minimum(below, cdf.size - 1)]
+    last = cdf[np.maximum(upto - 1, 0)]
+    single = inside & (first == last)
+    multi = inside & ~single
+    split = np.where(single, first, np.inf)
+    step = np.where(single, upto - below, 0).astype(np.int64)
+    return k, below.astype(np.int64), split, step, multi if multi.any() else None
 
 
 @dataclass(frozen=True)

@@ -273,22 +273,28 @@ def finite_time_grid(
     treated as certain survival, which keeps the grid an upper bound whose
     error is at most the chance of ever reaching the cap; choose the cap
     where 1 - phi(cap) is negligible.
+
+    Step t computes only the states u <= u_max + kappa*(t_max - t) that the
+    remaining steps can still reach from u_max. A step reads at most kappa
+    states past the previous step's last one, so kappa padding states
+    suffice.
     """
     x, _tail = dist.truncate(dist.trunc_eps)
-    m = x.size - 1
     if state_cap is None:
         length = u_max + kappa * t_max
     else:
         length = max(u_max + kappa, int(state_cap))
     v = np.ones(length + 1, dtype=float)
     rows = np.empty((t_max, u_max + 1), dtype=float)
-    work = np.empty(length + 1 + kappa + m, dtype=float)
+    work = np.empty(length + 1 + kappa, dtype=float)
     for t in range(1, t_max + 1):
-        work[: length + 1] = v
-        work[length + 1 :] = 1.0
+        n = v.size
+        work[:n] = v
+        work[n : n + kappa] = 1.0
         work[0] = 0.0
-        conv = np.convolve(x, work)
-        v = conv[kappa : kappa + length + 1]
+        top = min(length, u_max + kappa * (t_max - t))
+        conv = np.convolve(x, work[: n + kappa])
+        v = conv[kappa : kappa + top + 1]
         np.clip(v, 0.0, 1.0, out=v)
         rows[t - 1] = v[: u_max + 1]
     return FiniteTimeGrid(phi=rows, kappa=kappa, state_cap=state_cap)

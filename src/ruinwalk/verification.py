@@ -22,6 +22,7 @@ from .survival import finite_time_grid
 
 _CHUNK = 65_536
 _BLOCK = 192
+_SLICE = 512
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,24 @@ def _simulate_suprema_chunk(
 
     Consumption of the stream is a fixed function of (n_paths, horizon), so a
     path's draws depend only on its chunk and position, never on the fate of
-    other paths.
+    other paths. Each block of up to _BLOCK steps is one path-major segment of
+    the stream, (n_paths, b) in C order; it is drawn in consecutive slices of
+    _SLICE paths, which read that segment in the same order while the
+    subtract, cumsum and max of a slice stay in cache.
     """
     running = np.zeros(n_paths, dtype=np.int64)
     best = np.full(n_paths, np.iinfo(np.int64).min, dtype=np.int64)
     done = 0
     while done < horizon:
         b = min(_BLOCK, horizon - done)
-        draws = dist.sample(rng, (n_paths, b))
-        np.subtract(draws, kappa, out=draws)
-        np.cumsum(draws, axis=1, out=draws)
-        draws += running[:, None]
-        np.maximum(best, draws.max(axis=1), out=best)
-        running = draws[:, -1].copy()
+        for lo in range(0, n_paths, _SLICE):
+            hi = min(lo + _SLICE, n_paths)
+            draws = dist.sample(rng, (hi - lo, b))
+            np.subtract(draws, kappa, out=draws)
+            draws[:, 0] += running[lo:hi]
+            np.cumsum(draws, axis=1, out=draws)
+            np.maximum(best[lo:hi], draws.max(axis=1), out=best[lo:hi])
+            running[lo:hi] = draws[:, -1]
         done += b
     return best
 
@@ -217,18 +223,13 @@ def mc_stationarity_distance(
     pmf = np.bincount(samples, minlength=cap) / paths
 
     x, _tail = dist.truncate(min(dist.trunc_eps, 1e-12))
+    # (i + X - kappa)^+ : the law of i + X shifted down by kappa, with the
+    # mass below zero collapsed onto zero
+    conv = np.convolve(pmf, x)
     pushed = np.zeros(cap + x.size, dtype=float)
-    # (i + X - kappa)^+ : mass below zero collapses onto zero
-    for i in range(cap):
-        if pmf[i] == 0.0:
-            continue
-        lo = i - kappa  # destination of X = 0
-        if lo >= 0:
-            pushed[lo : lo + x.size] += pmf[i] * x
-        else:
-            cut = -lo
-            pushed[0] += pmf[i] * x[:cut].sum()
-            pushed[0 : x.size - cut] += pmf[i] * x[cut:]
+    shifted = conv[kappa:]
+    pushed[: shifted.size] = shifted
+    pushed[0] += conv[:kappa].sum()
     full = np.zeros(pushed.size, dtype=float)
     full[:cap] = pmf
     tv = 0.5 * float(np.abs(full - pushed).sum())

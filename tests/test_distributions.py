@@ -209,3 +209,54 @@ class TestConstructionAndConfig:
         draws = d.sample(rng, 50_000)
         freq = np.bincount(draws, minlength=4) / 50_000
         np.testing.assert_allclose(freq, d.probabilities, atol=0.01)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random() returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+def _zero_run_pmf():
+    p = np.zeros(2003)
+    p[[0, 1, 2002]] = (0.3, 0.25, 0.45)
+    return p
+
+
+class TestGuideSampler:
+    """FinitePmf.sample inverts the cdf exactly as searchsorted(side="right")."""
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            [1.0 / 41.0] * 41,
+            np.random.default_rng(20261018).dirichlet([0.3] * 61),
+            _zero_run_pmf(),
+            [0.4] + [1e-12] * 50 + [0.6 - 50e-12],
+            [0.5, 0.5 - 5e-13],
+        ],
+        ids=["uniform_41", "dirichlet_61", "zero_run_2000", "tiny_masses_50", "cdf_below_one"],
+    )
+    def test_matches_searchsorted(self, pmf):
+        d = FinitePmf(tuple(pmf))
+        cdf = np.cumsum(d.probabilities)
+        # every cdf point and its neighbours, every bucket edge for up to
+        # 2^14 buckets, both ends of [0, 1) and plain uniforms
+        u = np.concatenate(
+            [
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 2.0),
+                np.arange(2**14) / 2**14,
+                [0.0, 1.0 - 2.0**-53],
+                np.random.default_rng(5).random(100_000),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        draws = d.sample(_FixedUniforms(u), u.shape)
+        assert draws.dtype == np.int64
+        np.testing.assert_array_equal(draws, np.searchsorted(cdf, u, side="right"))

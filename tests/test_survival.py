@@ -17,7 +17,7 @@ from ruinwalk.survival import (
     ultimate_survival_table,
 )
 
-from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import GEOMETRIC_P, PHI0_EXACT_K2, PHI1_EXACT_K2
 
 
 def solve_model(dist, kappa):
@@ -289,7 +289,46 @@ class TestStableExtension:
         assert mass.min() >= -1e-12
 
 
+def _full_cone_grid(dist, kappa, u_max, t_max, state_cap=None):
+    """Reference DP: every step carries all states and pads kappa + m ones."""
+    x, _tail = dist.truncate(dist.trunc_eps)
+    m = x.size - 1
+    if state_cap is None:
+        length = u_max + kappa * t_max
+    else:
+        length = max(u_max + kappa, int(state_cap))
+    v = np.ones(length + 1, dtype=float)
+    rows = np.empty((t_max, u_max + 1), dtype=float)
+    work = np.empty(length + 1 + kappa + m, dtype=float)
+    for t in range(1, t_max + 1):
+        work[: length + 1] = v
+        work[length + 1 :] = 1.0
+        work[0] = 0.0
+        conv = np.convolve(x, work)
+        v = conv[kappa : kappa + length + 1]
+        np.clip(v, 0.0, 1.0, out=v)
+        rows[t - 1] = v[: u_max + 1]
+    return rows
+
+
 class TestFiniteTime:
+    @pytest.mark.parametrize(
+        "dist, kappa, u_max, t_max, state_cap",
+        [
+            (Geometric(0.03), 50, 60, 100, 1601),
+            (Geometric(GEOMETRIC_P), 2, 60, 2000, 4097),
+            (Geometric(GEOMETRIC_P), 3, 20, 300, None),
+            (FinitePmf(tuple([1.0 / 41.0] * 41)), 25, 10, 120, None),
+            (Geometric(GEOMETRIC_P), 2, 0, 300, None),
+            (Geometric(GEOMETRIC_P), 2, 0, 400, 50),
+        ],
+        ids=["geom_k50_capped", "geom_k2_capped", "geom_k3", "unif40_k25", "u0", "u0_capped"],
+    )
+    def test_trimmed_cone_matches_full_cone(self, dist, kappa, u_max, t_max, state_cap):
+        grid = finite_time_grid(dist, kappa, u_max, t_max, state_cap=state_cap)
+        reference = _full_cone_grid(dist, kappa, u_max, t_max, state_cap)
+        assert np.max(np.abs(grid.phi - reference)) <= 1e-15
+
     def test_one_period_is_cdf(self, geometric):
         # phi(u, 1) = F_X(u + kappa - 1)
         for u in range(0, 6):

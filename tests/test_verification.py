@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ruinwalk.errors import NetProfitViolation, NonConvergence
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system
 from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
 from ruinwalk.verification import (
+    _CHUNK,
     default_identity_points,
     mc_stationarity_distance,
     mc_survival,
@@ -15,7 +18,7 @@ from ruinwalk.verification import (
     stationarity_identity_residual,
 )
 
-from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import GEOMETRIC_P, PHI0_EXACT_K2, PHI1_EXACT_K2
 
 
 def solve_model(dist, kappa):
@@ -76,7 +79,92 @@ class TestSupremumSamples:
         np.testing.assert_array_equal(est.suprema, suprema)
 
 
+def _digest(suprema: np.ndarray) -> str:
+    return hashlib.sha256(suprema.astype("<i8").tobytes()).hexdigest()
+
+
+UNIFORM_40 = FinitePmf(tuple([1.0 / 41.0] * 41))
+
+
+class TestStreamConsumption:
+    """Pins which draws of each (seed, chunk) stream make up each path.
+
+    The digests are those of a kernel that draws each 192-step block for all
+    paths of a chunk at once; a kernel change that reorders, drops or adds
+    draws changes them.
+    """
+
+    @pytest.mark.parametrize(
+        "dist, kappa, paths, horizon, seed, digest",
+        [
+            (Geometric(GEOMETRIC_P), 2, 2 * _CHUNK + 1000, 40, 5,
+             "681c23b98c24a443e655b2b5dc8faa45837173b2b7db662527284ea363df63f0"),
+            (UNIFORM_40, 25, 2 * _CHUNK + 1000, 40, 5,
+             "5c85bf5852543362252c237f3c85dc0b987e9a7fa8bbaf12f48967cbcff86832"),
+        ],
+        ids=["geometric", "finite"],
+    )
+    def test_two_chunks_match_digest_at_any_worker_count(self, dist, kappa, paths, horizon, seed, digest):
+        one = mc_walk_suprema(dist, kappa, paths, horizon, seed, workers=1)
+        two = mc_walk_suprema(dist, kappa, paths, horizon, seed, workers=2)
+        assert one.tobytes() == two.tobytes()
+        assert _digest(one) == digest
+
+    @pytest.mark.parametrize(
+        "dist, kappa, digest",
+        [
+            (Geometric(GEOMETRIC_P), 3,
+             "309f5b6ffa5e3c4930eee1a3d4ddfceeae9f95134bb54c562bd7c9add6930ffb"),
+            (UNIFORM_40, 25,
+             "3604f70182cd6eb78b7ffc385ebe8b016129c980b1007773986a36c72f2f9053"),
+        ],
+        ids=["geometric", "finite"],
+    )
+    def test_multi_block_horizon_matches_digest(self, dist, kappa, digest):
+        # 500 steps cross two block boundaries; 3000 paths end in a partial slice
+        assert _digest(mc_walk_suprema(dist, kappa, 3000, 500, 17)) == digest
+
+
+def _push_tv_loop(dist, kappa, suprema):
+    """Reference TV of the empirical supremum law against its one-step push,
+    pushed atom by atom."""
+    samples = np.maximum(suprema, 0)
+    cap = int(samples.max()) + 1
+    pmf = np.bincount(samples, minlength=cap) / samples.size
+    x, _tail = dist.truncate(min(dist.trunc_eps, 1e-12))
+    pushed = np.zeros(cap + x.size, dtype=float)
+    for i in range(cap):
+        if pmf[i] == 0.0:
+            continue
+        lo = i - kappa
+        if lo >= 0:
+            pushed[lo : lo + x.size] += pmf[i] * x
+        else:
+            cut = -lo
+            pushed[0] += pmf[i] * x[:cut].sum()
+            pushed[0 : x.size - cut] += pmf[i] * x[cut:]
+    full = np.zeros(pushed.size, dtype=float)
+    full[:cap] = pmf
+    return 0.5 * float(np.abs(full - pushed).sum())
+
+
 class TestStationarity:
+    @pytest.mark.parametrize(
+        "dist, kappa, horizon",
+        [
+            (Geometric(GEOMETRIC_P), 2, 400),
+            (Geometric(0.03), 50, 300),
+            (UNIFORM_40, 25, 300),
+            (FinitePmf((0.128, 0.576, 0.264, 0.032)), 3, 50),
+            (FinitePmf((0.5, 0.5)), 5, 50),
+        ],
+        ids=["geom_k2", "geom_k50", "unif40_k25", "double_root", "support_below_kappa"],
+    )
+    def test_convolution_matches_atom_loop(self, dist, kappa, horizon):
+        suprema = mc_walk_suprema(dist, kappa, 20_000, horizon, 3)
+        rep = mc_stationarity_distance(dist, kappa, suprema, horizon=horizon)
+        assert abs(rep.tv - _push_tv_loop(dist, kappa, suprema)) <= 1e-15
+
     def test_degenerate_zero_claims(self):
         dist = FinitePmf((1.0,))
         rep = mc_stationarity_distance(dist, 1, mc_walk_suprema(dist, 1, 2000, 50, 2), horizon=50)
