@@ -14,7 +14,7 @@ import sys
 from .config import load_config
 from .errors import ConfigError, NetProfitViolation, RuinwalkError
 from .pipeline import run_model
-from .reporting import render_report, write_outputs
+from .reporting import FORMATS, render_report, write_outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument("--out", default=None, help="output directory (default: report to stdout)")
     parser.add_argument(
-        "--format", choices=("csv", "report", "both"), default="both", help="which outputs to write"
+        "--format", choices=FORMATS, default="both", help="which outputs to write"
     )
     parser.add_argument(
         "--no-timings", action="store_true", help="omit timings for byte-reproducible reports"

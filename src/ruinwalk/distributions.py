@@ -122,17 +122,23 @@ class FinitePmf(ClaimDistribution):
         bucket that are <= u. When those inside points share one value the
         count is one comparison; draws in buckets holding several distinct
         values are searched directly.
+
+        The cdf searched is +inf from the last point with mass on, so a pmf
+        summing to less than 1 maps u >= cdf[-1] to that point, not past the
+        support; where cdf[-1] >= 1 no uniform reaches those entries.
         """
         if self._guide is None:
-            object.__setattr__(self, "_guide", _guide_table(self._cdf))
-        k, below, split, step, multi = self._guide
+            cdf = self._cdf.copy()
+            cdf[self.max_support() :] = np.inf
+            object.__setattr__(self, "_guide", (cdf, *_guide_table(cdf)))
+        cdf, k, below, split, step, multi = self._guide
         u = rng.random(size)
         j = (u * k).astype(np.intp)
         out = below[j]
         out += (u >= split[j]) * step[j]
         if multi is not None:
             hit = multi[j]
-            out[hit] = np.searchsorted(self._cdf, u[hit], side="right")
+            out[hit] = np.searchsorted(cdf, u[hit], side="right")
         return out
 
     def to_dict(self) -> dict:

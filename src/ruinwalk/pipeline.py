@@ -230,10 +230,12 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
 
     # the recurrence phi(u) = sum_{i>=1} x_{u+kappa-i} phi(i) must be a fixed
     # point of the finished table wherever its whole stencil is in the table
-    x, _tail = dist.truncate(dist.trunc_eps)
-    conv = np.convolve(x, phi[1:])
     n = config.u_max - kappa + 1
-    rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n]))) if n > 0 else 0.0
+    rec_res = 0.0
+    if n > 0:
+        x, _tail = dist.truncate(dist.trunc_eps)
+        conv = np.convolve(x, phi[1:])
+        rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n])))
     checks.append(Check.leq("recurrence_fixed_point", rec_res, 1e-10))
 
     if kappa <= 2:
@@ -331,7 +333,8 @@ def _run_verification(
         t = time.perf_counter()
         lim = recurrent_sequence_limits(dist, n_max=2000, gap_tol=1e-9)
         report.sequence_limits = lim
-        err = max(abs(lim.phi0 - report.survival.phi[0]), abs(lim.phi1 - report.survival.phi[1]))
+        # a table with u_max = 0 holds phi(0) only
+        err = max(abs(v - phi[u]) for u, v in enumerate((lim.phi0, lim.phi1)[: phi.size]))
         report.checks.append(Check.leq("sequence_limits_agreement", err, 1e-6))
         report.timings["sequences"] = time.perf_counter() - t
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -10,10 +9,8 @@ from .pipeline import RunReport
 
 MACHINE_DIGITS = 12
 HUMAN_DIGITS = 6
-
-
-def _m(x: float) -> str:
-    return f"{float(x):.{MACHINE_DIGITS}g}"
+_M = f"%.{MACHINE_DIGITS}g"
+FORMATS = ("csv", "report", "both")
 
 
 def _h(x: float) -> str:
@@ -96,6 +93,15 @@ def render_report(report: RunReport, *, include_timings: bool = True) -> str:
     return "\n".join(lines)
 
 
+def _rows(line_format: str, *columns) -> str:
+    """The rows of `columns`, each formatted by `line_format`, in one `%` call."""
+    n = len(columns[0])
+    cells = [None] * (n * len(columns))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return (line_format * n) % tuple(cells)
+
+
 def write_outputs(
     report: RunReport,
     outdir: str | Path,
@@ -104,6 +110,8 @@ def write_outputs(
     include_timings: bool = True,
 ) -> list[Path]:
     """Write report.txt and/or the CSV tables; returns the paths written."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -113,38 +121,44 @@ def write_outputs(
         path.write_text(render_report(report, include_timings=include_timings))
         written.append(path)
     if fmt in ("csv", "both"):
+        # the csv module's default dialect: CRLF line ends, no field quoted
+        phi = report.survival.phi
         path = outdir / "survival.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "phi"])
-            for u, v in enumerate(report.survival.phi):
-                w.writerow([u, _m(v)])
+        text = _rows(f"%d,{_M}\r\n", range(phi.size), phi.tolist())
+        path.write_text("u,phi\r\n" + text, newline="")
         written.append(path)
 
+        # one T block at a time keeps the transient strings small
         path = outdir / "finite_time.csv"
-        grid = report.finite_time
+        grid = report.finite_time.phi
+        us = range(grid.shape[1])
         with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "t", "phi"])
-            t_max, u_max = grid.phi.shape
-            for t in range(1, t_max + 1):
-                for u in range(u_max):
-                    w.writerow([u, t, _m(grid.phi[t - 1, u])])
+            fh.write("u,t,phi\r\n")
+            for t in range(1, grid.shape[0] + 1):
+                fh.write(_rows(f"%d,%d,{_M}\r\n", us, [t] * len(us), grid[t - 1].tolist()))
         written.append(path)
 
+        roots = report.roots
         path = outdir / "roots.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re", "im", "multiplicity", "on_boundary"])
-            for r in report.roots:
-                w.writerow([_m(r["re"]), _m(r["im"]), r["multiplicity"], r["on_boundary"]])
+        text = _rows(
+            f"{_M},{_M},%d,%s\r\n",
+            [r["re"] for r in roots],
+            [r["im"] for r in roots],
+            [r["multiplicity"] for r in roots],
+            [r["on_boundary"] for r in roots],
+        )
+        path.write_text("re,im,multiplicity,on_boundary\r\n" + text, newline="")
         written.append(path)
 
+        checks = report.checks
         path = outdir / "verification.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["check", "value", "bound", "passed"])
-            for c in report.checks:
-                w.writerow([c.name, _m(c.value), _m(c.bound), c.passed])
+        text = _rows(
+            f"%s,{_M},{_M},%s\r\n",
+            [c.name for c in checks],
+            [c.value for c in checks],
+            [c.bound for c in checks],
+            [c.passed for c in checks],
+        )
+        path.write_text("check,value,bound,passed\r\n" + text, newline="")
         written.append(path)
     return written

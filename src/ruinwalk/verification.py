@@ -309,6 +309,7 @@ def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int)
             p = mp.mpf(dist.p)
             ha = mp.mpf(0)  # sum_{i<n} q^(n-i) a_i, updated by one telescoping step
             hb = mp.mpf(0)
+        cancel_floor = mp.mpf(10) ** (-(digits - 10))
         candidate = None
         confirmed = 0
         prev0 = prev1 = None
@@ -327,7 +328,7 @@ def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int)
             if det == 0:
                 return None  # determinant lost to cancellation; retry with more digits
             scale = abs(a[n - 1] * b[n]) + abs(b[n - 1] * a[n])
-            if scale > 0 and abs(det) / scale < mp.mpf(10) ** (-(digits - 10)):
+            if scale > 0 and abs(det) / scale < cancel_floor:
                 return None
             est0 = float((b[n] - b[n - 1]) / det)
             est1 = float((a[n - 1] - a[n]) / det)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from ruinwalk.config import ModelConfig, config_from_dict, load_config
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import ConfigError
 from ruinwalk.pipeline import run_model
-from ruinwalk.reporting import render_report
+from ruinwalk.reporting import render_report, write_outputs
 
 P = 101.0 / 300.0
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -125,6 +127,29 @@ class TestPipeline:
         assert report.survival.phi.size == 2
         assert report.all_passed
 
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize(
+        "dist, kappa",
+        [
+            (Geometric(P), 2),
+            (FinitePmf((0.128, 0.576, 0.264, 0.032)), 3),
+            (FinitePmf((0.7, 0.3)), 1),
+        ],
+        ids=["geometric_k2", "double_root_k3", "bernoulli_k1"],
+    )
+    def test_u_max_zero(self, dist, kappa, verify):
+        # a one-row table: phi(0) alone, and phi(0, T) for T = 1..t_max
+        cfg = ModelConfig(
+            kappa=kappa, dist=dist, u_max=0, t_max=5, mc_paths=2000, mc_horizon=100
+        )
+        report = run_model(cfg, verify=verify)
+        deep = run_model(dataclasses.replace(cfg, u_max=40))
+        assert report.survival.phi.tolist() == deep.survival.phi[:1].tolist()
+        assert report.finite_time.phi.tolist() == deep.finite_time.phi[:, :1].tolist()
+        assert report.all_passed
+        if verify and kappa == 2:
+            assert "sequence_limits_agreement" in {c.name for c in report.checks}
+
     @pytest.mark.parametrize(
         "dist, kappa", [(Geometric(P), 2), (FinitePmf((0.3, 0.1, 0.2, 0.15, 0.25)), 3)]
     )
@@ -170,6 +195,21 @@ class TestCliProcess:
         assert "0.582072" in report and "0.480212" in report
         for name in ("survival.csv", "finite_time.csv", "roots.csv", "verification.csv"):
             assert (tmp_path / name).exists()
+
+    def test_u_max_zero_writes_one_row_tables(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": P}, "t_max": 3}
+        )
+        out = tmp_path / "out"
+        res = run_cli(
+            "--config", str(cfg), "--u-max", "0", "--out", str(out), "--verify",
+            "--mc-paths", "2000",
+        )
+        assert res.returncode == 0, res.stderr
+        survival = (out / "survival.csv").read_text().splitlines()
+        assert survival[0] == "u,phi" and len(survival) == 2 and survival[1].startswith("0,")
+        finite = (out / "finite_time.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in finite[1:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
 
     def test_net_profit_rejection_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": 0.25}})
@@ -295,12 +335,84 @@ class TestRendering:
     def test_machine_precision_in_csv(self, tmp_path):
         cfg = ModelConfig(kappa=2, dist=Geometric(P), u_max=4, t_max=6)
         report = run_model(cfg)
-        from ruinwalk.reporting import write_outputs
-
         write_outputs(report, tmp_path, fmt="csv")
         first = (tmp_path / "survival.csv").read_text().splitlines()[1]
         value = first.split(",")[1]
         assert len(value.replace("0.", "").rstrip("0")) >= 10  # 12 significant digits
+
+    # sha256 of every file write_outputs(..., include_timings=False) writes:
+    # the published output format, pinned byte for byte
+    OUTPUT_DIGESTS = {
+        "geometric_k2": (
+            Geometric(P), 2, 2000, 20,
+            {
+                "report.txt": "63a66bd46e2436f11413a652b755459ac2138f6fa289b356103594e6040e4d38",
+                "survival.csv": "20750188c8ef29d93af2ae05863b8c95642d93490896e176173c9df93ef8ce51",
+                "finite_time.csv": "01f6c2e3ddf86f652e43aec8548539b9f86006f28afbb2c3701a8796d75622e4",
+                "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
+                "verification.csv": "a50a05eaf3e719bb9ff951cf513ae158a827ddc52839c510ed0fe9adf559cbc4",
+            },
+        ),
+        "double_root_k3": (
+            FinitePmf((0.128, 0.576, 0.264, 0.032)), 3, 200, 50,
+            {
+                "report.txt": "f0bab44fed34a0af17c4f082f17583c273dcdd109012152fdd49483e21b8e6e8",
+                "survival.csv": "6f3b270b696bc29b5913f14f7b85c7d9e7853dc59c129d10663ce685a4697c6c",
+                "finite_time.csv": "d73da9751d130d4331f2d6e1675854641705b93f240e524038a25f46fcd5a3a6",
+                "roots.csv": "2c7c1cfa868483c572ae7fcf323d6a1b6044cfc120d25eecd6bc1a61ef9c0d1f",
+                "verification.csv": "56366afc3c40896aa3657c9529791e4e6f25535eef7c0e3703077d5635bb730c",
+            },
+        ),
+        "shifted_k2": (
+            FinitePmf((0.0, 0.6, 0.4)), 2, 200, 50,
+            {
+                "report.txt": "5932f7f0b5d3886af780cf6cab65448bb560d3c5e3b8f4e039b4fd8168411c8d",
+                "survival.csv": "8c7d862097ec1de030635a0f076cd396a8df057c289c21424a707e2e7a0dc6a5",
+                "finite_time.csv": "e03942713fccbc19a7fd5fb634f69f711ead054265871268ed0cf7cb58392f40",
+                "roots.csv": "505570ef2023a2d575d3d1c3c7297e0b9d0e2ad0a7ff884b74529ab7c303b9f3",
+                "verification.csv": "4f60bec56a172d9957cac9dc69a5446b1893f0166f625645cfd20a2195ed1cf6",
+            },
+        ),
+        # phi(0, T) = 3e-05 prints in exponent form
+        "tiny_survival_k1": (
+            FinitePmf((3e-5, 0.99997)), 1, 50, 30,
+            {
+                "report.txt": "bde56bdde0c2cf5c6dcbaacc9fd9f405946b2ea3cb7a54b9b68110c31904dea6",
+                "survival.csv": "2e43513922a7718aece5d1e1c539fd27a14c409e85e8be793f3f95ef87cf42e5",
+                "finite_time.csv": "9b9e3773c547b267ea1bf6b5e70c6335578557fa5f242b0571da63287a16c706",
+                "roots.csv": "505570ef2023a2d575d3d1c3c7297e0b9d0e2ad0a7ff884b74529ab7c303b9f3",
+                "verification.csv": "7d347ed2920e613e77b43dd73808a247d8b02f915168cd1b66e830079527b069",
+            },
+        ),
+        # a root on the unit circle: on_boundary prints True
+        "boundary_root_k2": (
+            FinitePmf((0.5, 0.0, 0.5)), 2, 200, 50,
+            {
+                "report.txt": "a2d2111aedc495150a1e77d80e947527fd6f36fbdf0b9b9a30a2f51e39114dc4",
+                "survival.csv": "58c955e59f1a34dc706e5c213cd8ef593a9032867e31c370cc32fcfae9a75329",
+                "finite_time.csv": "7240a8f92b28f2784f8cb2863b1a8370e15c156c4ffcc16ca12445f3edb81288",
+                "roots.csv": "17b7214fa800a32a0217dd552b3b8aad9e2cc079884a0436eaa002a6a391f598",
+                "verification.csv": "0349c2ade07ae05281f2f98cdb29540434867a0247d74918aa563de0adf2075e",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("model", list(OUTPUT_DIGESTS))
+    def test_output_digests(self, tmp_path, model):
+        dist, kappa, u_max, t_max, digests = self.OUTPUT_DIGESTS[model]
+        report = run_model(ModelConfig(kappa=kappa, dist=dist, u_max=u_max, t_max=t_max))
+        paths = write_outputs(report, tmp_path, include_timings=False)
+        assert [p.name for p in paths] == list(digests)
+        for path in paths:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[path.name], path.name
+        if model == "tiny_survival_k1":
+            assert b"\r\n0,1,3e-05\r\n" in (tmp_path / "finite_time.csv").read_bytes()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        report = run_model(ModelConfig(kappa=2, dist=Geometric(P), u_max=4, t_max=6))
+        with pytest.raises(ValueError, match="cvs"):
+            write_outputs(report, tmp_path, fmt="cvs")
+        assert list(tmp_path.iterdir()) == []
 
     def test_warnings_in_report(self, shifted_dist):
         cfg = ModelConfig(kappa=2, dist=shifted_dist, u_max=4, t_max=6)

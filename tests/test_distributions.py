@@ -228,7 +228,11 @@ def _zero_run_pmf():
 
 
 class TestGuideSampler:
-    """FinitePmf.sample inverts the cdf exactly as searchsorted(side="right")."""
+    """FinitePmf.sample inverts the cdf exactly as searchsorted(side="right").
+
+    A uniform at or above cdf[-1] < 1 draws the last point with mass, not
+    the support size.
+    """
 
     @pytest.mark.parametrize(
         "pmf",
@@ -238,8 +242,17 @@ class TestGuideSampler:
             _zero_run_pmf(),
             [0.4] + [1e-12] * 50 + [0.6 - 50e-12],
             [0.5, 0.5 - 5e-13],
+            # several distinct cdf values in the top bucket, then a zero mass
+            [0.5, 0.5 - 2.5e-12, 1e-12, 1e-12, 0.0],
         ],
-        ids=["uniform_41", "dirichlet_61", "zero_run_2000", "tiny_masses_50", "cdf_below_one"],
+        ids=[
+            "uniform_41",
+            "dirichlet_61",
+            "zero_run_2000",
+            "tiny_masses_50",
+            "cdf_below_one",
+            "cdf_below_one_top_bucket",
+        ],
     )
     def test_matches_searchsorted(self, pmf):
         d = FinitePmf(tuple(pmf))
@@ -259,4 +272,7 @@ class TestGuideSampler:
         u = u[(u >= 0.0) & (u < 1.0)]
         draws = d.sample(_FixedUniforms(u), u.shape)
         assert draws.dtype == np.int64
-        np.testing.assert_array_equal(draws, np.searchsorted(cdf, u, side="right"))
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), d.max_support())
+        np.testing.assert_array_equal(draws, expected)
+        if cdf[-1] >= 1.0:
+            np.testing.assert_array_equal(draws, np.searchsorted(cdf, u, side="right"))
