@@ -37,12 +37,12 @@ with np.printoptions(precision=6, suppress=True):
 sup = solve_boundary_system(system)
 print("\nsupremum pmf:", np.round(sup.mass, 7), f"(solve residual {sup.residual:.1e})")
 
-table = ultimate_survival_table(sup, dist, kappa, 10, char=char)
+table = ultimate_survival_table(sup, char, 10)
 print("\nsurvival table phi(0..10):")
 print(np.round(table.phi, 7))
 
 # the complex parts cancel: phi values are partial sums of a real pmf
-coeffs = survival_gf_coefficients(dist, kappa, 9, roots=roots)
+coeffs = survival_gf_coefficients(dist, char, 9, roots=roots)
 print("\nroot-product route, phi(1..10):")
 print(np.round(coeffs, 7))
 print("max disagreement:", float(np.max(np.abs(coeffs - table.phi[1:11]))))

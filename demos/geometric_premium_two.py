@@ -19,6 +19,7 @@ from ruinwalk import (
     find_unit_disk_roots,
     recurrent_sequence_limits,
     solve_boundary_system,
+    sup_pmf_closed_form,
     tail_expansion,
     ultimate_survival_table,
 )
@@ -39,10 +40,10 @@ print(f"unit-disk root alpha = {alpha:.12f}")
 
 system = build_boundary_system(dist, kappa, roots)
 sup = solve_boundary_system(system)
-table = ultimate_survival_table(sup, dist, kappa, 300, char=char)
+table = ultimate_survival_table(sup, char, 300)
 print(f"route 1 (linear system):      phi(0) = {table.phi[0]:.10f}, phi(1) = {table.phi[1]:.10f}")
 
-closed = closed_form_initial_values(roots, dist, kappa)
+closed = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)
 print(f"route 2 (root products):      phi(0) = {closed[0]:.10f}, phi(1) = {closed[1]:.10f}")
 
 limits = recurrent_sequence_limits(dist, n_max=2000, gap_tol=1e-9)
@@ -53,7 +54,7 @@ print(
 
 # a forward recurrence would amplify roundoff like (1/|alpha|)^u ~ 2^u; the
 # FFT inversion of the supremum pgf scales it by a fixed factor instead
-tail = tail_expansion(sup, dist, kappa, char, roots)
+tail = tail_expansion(sup, char, roots)
 us = np.arange(1, 301)
 print(f"\ntable method: {table.method}; largest gap to the pole expansion "
       f"{np.max(np.abs(tail.phi(us - 1) - table.phi[us])):.1e}")

@@ -37,10 +37,10 @@ with np.printoptions(precision=6, suppress=True):
 sup = solve_boundary_system(system)
 print("\nsupremum pmf:", np.round(sup.mass, 12))
 
-table = ultimate_survival_table(sup, dist, kappa, 6, char=char)
+table = ultimate_survival_table(sup, char, 6)
 print("phi(0) =", table.phi[0], " and phi(u) = 1 for u >= 1:", table.phi[1:])
 
-coeffs = survival_gf_coefficients(dist, kappa, 30, roots=roots)
+coeffs = survival_gf_coefficients(dist, char, 30, roots=roots)
 print("\ngenerating function = 1/(1-s): coefficient deviation through order 30:",
       float(np.max(np.abs(coeffs - 1.0))))
 

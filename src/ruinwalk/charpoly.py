@@ -14,7 +14,7 @@ cross-check path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,29 +28,27 @@ from .errors import (
     RuinwalkError,
 )
 
-_ONE_RESIDUAL_REL = 1e-10
 _DEFLATION_REL = 1e-12
 
 
 @dataclass(frozen=True)
 class CharPolynomial:
-    """Q(s) with Q = 0 iff s^kappa = G_X(s); coefficients lowest degree first."""
+    """Q(s) with Q = 0 iff s^kappa = G_X(s); coefficients lowest degree first.
+
+    g is the pgf denominator, G_X(s) - s^kappa = -Q(s) / g(s); q1 = Q / (s - 1).
+    """
 
     coeffs: np.ndarray
     kappa: int
-    reduction_shift: int = 0
+    g: np.ndarray
+    q1: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        scale = np.abs(c).sum()
-        if abs(npoly.polyval(1.0, c)) > _ONE_RESIDUAL_REL * scale:
-            raise RuinwalkError(
-                "characteristic polynomial does not vanish at s=1; "
-                "the claim law is inconsistent"
-            )
-        if c.size - 1 < self.kappa - self.reduction_shift - 1:
+        if c.size - 1 < self.kappa:
             raise RuinwalkError("characteristic polynomial degree is too small")
+        object.__setattr__(self, "q1", deflate_at_one(c))
 
     @property
     def degree(self) -> int:
@@ -122,7 +120,7 @@ def reduce_support(dist: ClaimDistribution, kappa: int):
             f"minimal claim {m} reaches premium rate {kappa}; model cannot survive"
         )
     assert isinstance(dist, FinitePmf), "only finite pmfs can have a positive support floor"
-    shifted = FinitePmf(dist.probabilities[m:], trunc_eps=dist.trunc_eps)
+    shifted = FinitePmf(dist.probabilities[m:])
     return shifted, kappa - m, m
 
 
@@ -131,9 +129,9 @@ def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
 
     Finite pmf: Q(s) = s^kappa - sum_i x_i s^i.
     Geometric:  Q(s) = s^kappa (1 - (1-p) s) - p, multiplying through by the
-    pgf denominator; degree kappa+1, no truncation error. The extra factor
-    introduces no spurious root inside the closed disk (its would-be zero
-    1/(1-p) > 1 is not a root of Q).
+    pgf denominator g(s) = 1 - (1-p) s; degree kappa+1, no truncation error.
+    The extra factor introduces no spurious root inside the closed disk (its
+    would-be zero 1/(1-p) > 1 is not a root of Q).
     """
     if dist.pmf(0) <= 0.0:
         raise ValueError("build_characteristic requires positive mass at zero; reduce support first")
@@ -142,13 +140,13 @@ def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
         coeffs[0] = -dist.p
         coeffs[kappa] = 1.0
         coeffs[kappa + 1] = -dist.q
-        return CharPolynomial(coeffs, kappa)
+        return CharPolynomial(coeffs, kappa, np.array([1.0, -dist.q]))
     pmf = np.asarray(dist.probabilities, dtype=float)
     n = max(kappa, pmf.size - 1)
     coeffs = np.zeros(n + 1)
     coeffs[: pmf.size] = -pmf
     coeffs[kappa] += 1.0
-    return CharPolynomial(coeffs, kappa)
+    return CharPolynomial(coeffs, kappa, np.ones(1))
 
 
 def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:
@@ -160,7 +158,8 @@ def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:
     for j in range(n - 1, 0, -1):
         b[j - 1] = c[j] + b[j]
     remainder = c[0] + b[0]
-    scale = np.abs(c).sum()
+    # + 1 for the s^kappa term, whose roundoff stays when x_kappa ~ 1 cancels it
+    scale = np.abs(c).sum() + 1.0
     if abs(remainder) > _DEFLATION_REL * scale:
         raise RuinwalkError(
             f"deflation of the root s=1 left remainder {remainder:.3e} (scale {scale:.3e})"
@@ -295,7 +294,7 @@ def find_unit_disk_roots(
     disk is returned separately for tail-expansion use.
     """
     expected = char.kappa - 1
-    deflated = deflate_at_one(char.coeffs)
+    deflated = char.q1
     if deflated.size - 1 <= 0:
         if expected != 0:
             raise RootCountMismatch(0, expected)

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, NetProfitViolation
 
 PMF_SUM_TOL = 1e-12
+# mass an unbounded law may drop where a finite pmf is needed (the
+# finite-time DP, the recurrence check, the stationarity push)
+TRUNC_EPS = 1e-14
 
 # Relative slack applied on the log scale when solving (1-p)^(m+1) <= eps for
 # the geometric truncation cut; absorbs float log noise when the ratio of logs
@@ -27,7 +30,8 @@ _LOG_SLACK = 1e-9
 class ClaimDistribution:
     """Common interface of integer claim laws. Immutable after construction."""
 
-    trunc_eps: float
+    # the benchmark tracer (bench/tracing.py) reads this name
+    trunc_eps = TRUNC_EPS
 
     def pmf(self, k: int) -> float:
         raise NotImplementedError
@@ -63,7 +67,6 @@ class ClaimDistribution:
 @dataclass(frozen=True)
 class FinitePmf(ClaimDistribution):
     probabilities: tuple[float, ...]
-    trunc_eps: float = 1e-14
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -174,7 +177,6 @@ class Geometric(ClaimDistribution):
     """P(X=k) = p(1-p)^k for k = 0, 1, 2, ...; pgf p/(1-(1-p)s)."""
 
     p: float
-    trunc_eps: float = 1e-14
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:

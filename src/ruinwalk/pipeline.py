@@ -13,7 +13,7 @@ import numpy as np
 
 from .charpoly import CharPolynomial, build_characteristic, find_unit_disk_roots, reduce_support
 from .config import ModelConfig
-from .distributions import NetProfitStatus, check_net_profit, lattice_span
+from .distributions import TRUNC_EPS, NetProfitStatus, check_net_profit, lattice_span
 from .errors import NetProfitViolation
 from .supremum import (
     SupremumPmf,
@@ -35,6 +35,7 @@ from .survival import (
     ultimate_survival_table,
 )
 from .verification import (
+    IDENTITY_POINTS,
     StationarityReport,
     horizon_bias_bound,
     mc_stationarity_distance,
@@ -44,6 +45,17 @@ from .verification import (
 )
 
 IDENTITY_TAIL_TARGET = 1e-10
+
+
+def _gf_comparison_points() -> np.ndarray:
+    """50 points uniform in |s| < 0.9, where the kappa <= 2 closed form is compared."""
+    rng = np.random.default_rng(1234)
+    r = 0.9 * np.sqrt(rng.random(50))
+    theta = 2 * np.pi * rng.random(50)
+    return r * np.exp(1j * theta)
+
+
+_GF_COMPARISON_POINTS = _gf_comparison_points()
 
 
 @dataclass
@@ -84,13 +96,6 @@ class RunReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _gf_comparison_points(n: int = 50, radius: float = 0.9, seed: int = 1234) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.random(n))
-    theta = 2 * np.pi * rng.random(n)
-    return r * np.exp(1j * theta)
 
 
 def _trivial_report(config: ModelConfig, npr) -> RunReport:
@@ -193,7 +198,7 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     checks.append(Check.leq("sup_mass_min", float(-(sup.mass.min())), config.tol_real))
     checks.append(Check.leq("sup_mass_total", float(sup.mass.sum() - 1.0), 1e-10))
 
-    closed = sup_pmf_closed_form(dist, kappa, roots)
+    closed = sup_pmf_closed_form(dist, char, roots)
     checks.append(
         Check.leq("closed_form_agreement", float(np.max(np.abs(closed.mass - sup.mass))), 1e-9)
     )
@@ -207,23 +212,21 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
         )
 
     t = time.perf_counter()
-    table = ultimate_survival_table(
-        sup, dist, kappa, config.u_max, char=char, bound_tol=config.tol_real
-    )
+    table = ultimate_survival_table(sup, char, config.u_max, bound_tol=config.tol_real)
     timings["table"] = time.perf_counter() - t
 
     phi = table.phi
-    coeffs = survival_gf_coefficients(dist, kappa, config.u_max, roots=roots)
+    coeffs = survival_gf_coefficients(dist, char, config.u_max, roots=roots)
     diff = np.max(np.abs(coeffs[:-1] - phi[1:])) if config.u_max else 0.0
     checks.append(Check.leq("table_vs_root_product", float(diff), 1e-9))
 
-    tail = tail_expansion(sup, dist, kappa, char, roots)
+    tail = tail_expansion(sup, char, roots)
     if tail is not None:
         us = np.arange(1, config.u_max + 1)
         diff = np.max(np.abs(tail.phi(us - 1) - phi[1:])) if config.u_max else 0.0
         checks.append(Check.leq("table_vs_pole_expansion", float(diff), 1e-9))
 
-    init = closed_form_initial_values(roots, dist, kappa)
+    init = closed_form_initial_values(closed, roots, dist)
     upto = min(kappa, config.u_max)
     diff = float(np.max(np.abs(init[: upto + 1] - phi[: upto + 1])))
     checks.append(Check.leq("closed_form_initial_values", diff, 1e-9))
@@ -233,15 +236,14 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     n = config.u_max - kappa + 1
     rec_res = 0.0
     if n > 0:
-        x, _tail = dist.truncate(dist.trunc_eps)
+        x, _tail = dist.truncate(TRUNC_EPS)
         conv = np.convolve(x, phi[1:])
         rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n])))
     checks.append(Check.leq("recurrence_fixed_point", rec_res, 1e-10))
 
     if kappa <= 2:
-        pts = _gf_comparison_points()
         worst = 0.0
-        for s in pts:
+        for s in _GF_COMPARISON_POINTS:
             worst = max(
                 worst,
                 abs(
@@ -290,8 +292,8 @@ def _run_verification(
 ) -> None:
     """Oracle passes: identity residual, Monte Carlo, stationarity, sequences."""
     t = time.perf_counter()
-    extended = extend_sup_pmf_stable(sup, dist, kappa, char=char, tail_target=IDENTITY_TAIL_TARGET)
-    residual = stationarity_identity_residual(extended, dist, kappa)
+    extended = extend_sup_pmf_stable(sup, char, tail_target=IDENTITY_TAIL_TARGET)
+    residual = stationarity_identity_residual(extended, dist, kappa, IDENTITY_POINTS)
     report.checks.append(
         Check.leq("gf_identity_residual", residual, 1e-8 + IDENTITY_TAIL_TARGET)
     )

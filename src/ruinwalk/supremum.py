@@ -4,10 +4,9 @@ Let M be the all-time supremum of the centred claim walk, clipped at zero.
 Its first kappa local probabilities solve a square linear system: one row per
 unit-disk root of the characteristic equation (derivative rows standing in for
 repeated roots), closed by a first-moment row. Every longer stretch of the
-pmf comes from one FFT inversion of its generating function G_M on a circle
-inside the unit disk, fed either by the solved masses or, as an independent
-check, by the product over the roots; a determinant identity checks the
-system itself.
+pmf comes from one FFT inversion of G_M = R g / Q1 on a circle inside the unit
+disk, with R = C @ mass from the solve or, as an independent check, the
+product over the roots; a determinant identity checks the system itself.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import CharPolynomial, RootSet, build_characteristic, deflate_at_one
-from .distributions import ClaimDistribution, Geometric
+from .charpoly import CharPolynomial, RootSet
+from .distributions import ClaimDistribution
 from .errors import ImagLeak, MultipleRootsUnsupported, SingularSystem
 
 # FFT inversion of a pgf: at most _ALIAS_MASS aliased into each coefficient,
@@ -29,22 +28,27 @@ _OVERSAMPLE = 8
 
 @dataclass(frozen=True)
 class BoundarySystem:
-    """A @ mass = rhs; row_kinds tags each row (root, derivative order) or 'moment'."""
+    """A @ mass = rhs, rows built from the cdf factor; row_kinds tags each row."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_kinds: tuple
     kappa: int
+    cdf: np.ndarray
 
 
 @dataclass(frozen=True)
 class SupremumPmf:
-    """P(M = i) for i = 0..kappa-1 plus solve diagnostics."""
+    """P(M = i) for i = 0..kappa-1, solve diagnostics and R(s) = C @ mass.
+
+    numerator (R, lowest degree first) is None for the root-product masses.
+    """
 
     mass: np.ndarray
     residual: float
     imag_leak: float
     kappa: int
+    numerator: np.ndarray | None
 
     def __post_init__(self):
         object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
@@ -84,7 +88,7 @@ def build_boundary_system(dist: ClaimDistribution, kappa: int, roots: RootSet) -
     matrix = np.array(rows, dtype=complex)
     rhs = np.zeros(kappa, dtype=complex)
     rhs[-1] = kappa - dist.mean()
-    return BoundarySystem(matrix=matrix, rhs=rhs, row_kinds=tuple(kinds), kappa=kappa)
+    return BoundarySystem(matrix, rhs, tuple(kinds), kappa, cdf)
 
 
 def solve_boundary_system(system: BoundarySystem, *, tol_real: float = 1e-8) -> SupremumPmf:
@@ -97,14 +101,8 @@ def solve_boundary_system(system: BoundarySystem, *, tol_real: float = 1e-8) -> 
     leak = float(np.max(np.abs(sol.imag))) if sol.size else 0.0
     if leak > tol_real:
         raise ImagLeak(leak, tol_real)
-    return SupremumPmf(mass=sol.real, residual=residual, imag_leak=leak, kappa=system.kappa)
-
-
-def denominator_factor(dist: ClaimDistribution, s):
-    """g(s) with G_X(s) - s^kappa = -Q(s) / g(s); 1 except for the geometric law."""
-    if isinstance(dist, Geometric):
-        return 1.0 - dist.q * s
-    return 1.0 + 0.0j
+    mass = sol.real
+    return SupremumPmf(mass, residual, leak, system.kappa, system.cdf @ mass)
 
 
 def pgf_coefficients(values, n: int) -> tuple[np.ndarray, float]:
@@ -127,15 +125,14 @@ def pgf_coefficients(values, n: int) -> tuple[np.ndarray, float]:
     return coeffs.real, leak
 
 
-def sup_pgf_masses(numerator, dist: ClaimDistribution, char: CharPolynomial, n: int):
+def sup_pgf_masses(numerator, char: CharPolynomial, n: int):
     """P(M = 0..n-1) from G_M(s) = numerator(s) g(s) / Q1(s), where Q = (s - 1) Q1.
 
     The root s = 1 is divided out of Q exactly, so the quotient suffers no
     0/0 cancellation against the (s - 1) of the survival generating function.
     """
-    q1 = deflate_at_one(char.coeffs)
     return pgf_coefficients(
-        lambda s: numerator(s) * denominator_factor(dist, s) / npoly.polyval(s, q1), n
+        lambda s: numerator(s) * npoly.polyval(s, char.g) / npoly.polyval(s, char.q1), n
     )
 
 
@@ -158,16 +155,16 @@ def root_product(dist: ClaimDistribution, kappa: int, roots: RootSet):
     return numerator
 
 
-def sup_pmf_closed_form(dist: ClaimDistribution, kappa: int, roots: RootSet) -> SupremumPmf:
+def sup_pmf_closed_form(dist: ClaimDistribution, char: CharPolynomial, roots: RootSet) -> SupremumPmf:
     """Boundary probabilities from the root product, without the linear solve.
 
     The first kappa coefficients of
         G_M(s) = (kappa - E X) g(s) prod_j (s - alpha_j)/(1 - alpha_j) / Q1(s);
     repeated roots enter the product with their multiplicity.
     """
-    char = build_characteristic(dist, kappa)
-    mass, leak = sup_pgf_masses(root_product(dist, kappa, roots), dist, char, kappa)
-    return SupremumPmf(mass=mass, residual=0.0, imag_leak=leak, kappa=kappa)
+    kappa = char.kappa
+    mass, leak = sup_pgf_masses(root_product(dist, kappa, roots), char, kappa)
+    return SupremumPmf(mass=mass, residual=0.0, imag_leak=leak, kappa=kappa, numerator=None)
 
 
 def determinant_identity_error(system: BoundarySystem, roots: RootSet, x0: float) -> float:

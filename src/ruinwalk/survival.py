@@ -5,7 +5,8 @@ P(M <= u), and phi(0) is a cdf-weighted combination of the boundary masses.
 The masses themselves are read off the generating function
 G_M(s) = R(s) g(s) / Q1(s) by one FFT on a circle of radius r < 1, which
 needs no recurrence and so no stability horizon: roundoff is scaled by at
-most r^-u_max, a fixed factor. The product over the unit-disk roots gives a
+most r^-u_max, a fixed factor. R comes with the solved masses, g and Q1 with
+the characteristic polynomial. The product over the unit-disk roots gives a
 second, independent numerator for the same inversion, and the pole expansion
 over the roots outside the disk a third, closed-form evaluation of the table.
 """
@@ -17,17 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import CharPolynomial, RootSet, build_characteristic, find_unit_disk_roots, reduce_support
-from .distributions import ClaimDistribution
+from .charpoly import CharPolynomial, RootSet, reduce_support
+from .distributions import TRUNC_EPS, ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
-from .supremum import (
-    SupremumPmf,
-    cdf_toeplitz,
-    denominator_factor,
-    root_product,
-    sup_pgf_masses,
-    sup_pmf_closed_form,
-)
+from .supremum import SupremumPmf, root_product, sup_pgf_masses
 
 # outside roots closer than this are too near a double pole for the
 # simple-pole tail expansion
@@ -80,13 +74,7 @@ class TailExpansion:
         return vals
 
 
-def tail_expansion(
-    sup: SupremumPmf,
-    dist: ClaimDistribution,
-    kappa: int,
-    char: CharPolynomial,
-    roots: RootSet,
-) -> TailExpansion | None:
+def tail_expansion(sup: SupremumPmf, char: CharPolynomial, roots: RootSet) -> TailExpansion | None:
     """Exact pole expansion of the survival generating function.
 
     The generating function is R(s) g(s) / (-Q(s)); its unit-disk poles are
@@ -99,7 +87,6 @@ def tail_expansion(
     is asserted. Returns None when outside roots are too close to each other
     for the simple-pole formula.
     """
-    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
     poles = [1.0 + 0.0j]
     outs = list(roots.outside)
     for i, w in enumerate(outs):
@@ -111,11 +98,11 @@ def tail_expansion(
     dq = npoly.polyder(char.coeffs)
     coeffs = np.empty(poles_arr.size, dtype=complex)
     for k, rho in enumerate(poles_arr):
-        g = denominator_factor(dist, rho)
+        g = npoly.polyval(rho, char.g)
         qprime = npoly.polyval(rho, dq)
         if qprime == 0:
             return None
-        coeffs[k] = npoly.polyval(rho, rcoeffs) * g / qprime
+        coeffs[k] = npoly.polyval(rho, sup.numerator) * g / qprime
     unit = coeffs[0]
     if abs(unit - 1.0) > 1e-6:
         raise RecurrenceBlowup(
@@ -125,21 +112,17 @@ def tail_expansion(
     return TailExpansion(poles=poles_arr, coeffs=coeffs, unit_coeff=float(unit.real))
 
 
-def _solved_masses(
-    rcoeffs: np.ndarray, dist: ClaimDistribution, char: CharPolynomial, n: int
-) -> np.ndarray:
+def _solved_masses(sup: SupremumPmf, char: CharPolynomial, n: int) -> np.ndarray:
     """P(M = 0..n-1) inverted from G_M, with R(s) = C @ mass from the solved masses."""
-    mass, _leak = sup_pgf_masses(lambda s: npoly.polyval(s, rcoeffs), dist, char, n)
+    mass, _leak = sup_pgf_masses(lambda s: npoly.polyval(s, sup.numerator), char, n)
     return mass
 
 
 def ultimate_survival_table(
     sup: SupremumPmf,
-    dist: ClaimDistribution,
-    kappa: int,
+    char: CharPolynomial,
     u_max: int,
     *,
-    char: CharPolynomial,
     bound_tol: float = 1e-8,
 ) -> SurvivalTable:
     """phi(0)..phi(u_max) from the supremum pmf.
@@ -148,25 +131,28 @@ def ultimate_survival_table(
     phi(u+1) is the partial sum of the masses P(M = 0..u), inverted from G_M
     with the solved masses in R(s).
     """
-    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
     phi = np.empty(u_max + 1, dtype=float)
-    phi[0] = rcoeffs[-1]
-    phi[1:] = np.cumsum(_solved_masses(rcoeffs, dist, char, u_max))
+    phi[0] = sup.numerator[-1]
+    phi[1:] = np.cumsum(_solved_masses(sup, char, u_max))
     if np.any(phi < -bound_tol) or np.any(phi > 1.0 + bound_tol):
         raise RecurrenceBlowup("survival table left [0, 1]")
-    return SurvivalTable(phi=phi, kappa=kappa, method="pgf_fft")
+    return SurvivalTable(phi=phi, kappa=char.kappa, method="pgf_fft")
 
 
-def closed_form_initial_values(roots: RootSet, dist: ClaimDistribution, kappa: int) -> np.ndarray:
+def closed_form_initial_values(
+    closed: SupremumPmf, roots: RootSet, dist: ClaimDistribution
+) -> np.ndarray:
     """phi(0)..phi(kappa) from the unit-disk roots alone.
 
     phi(0) = (kappa - E X) / prod_j (1 - alpha_j); the rest are partial sums
-    of the root-product supremum pmf. Repeated roots count with multiplicity.
+    of the root-product supremum pmf `closed` (sup_pmf_closed_form). Repeated
+    roots count with multiplicity.
     """
+    kappa = closed.kappa
     alphas = roots.values_with_multiplicity()
     out = np.empty(kappa + 1, dtype=float)
     out[0] = ((kappa - dist.mean()) / np.prod(1.0 - alphas)).real
-    out[1:] = np.cumsum(sup_pmf_closed_form(dist, kappa, roots).mass)
+    out[1:] = np.cumsum(closed.mass)
     return out
 
 
@@ -175,8 +161,7 @@ def survival_gf(sup: SupremumPmf, dist: ClaimDistribution, kappa: int, s: comple
     den = dist.pgf(s) - s**kappa
     if abs(den) <= 1e-12:
         raise NearPole(f"generating function evaluated within 1e-12 of a zero of G_X(s)-s^kappa at s={s}")
-    num = npoly.polyval(s, cdf_toeplitz(dist, kappa) @ sup.mass)
-    return num / den
+    return npoly.polyval(s, sup.numerator) / den
 
 
 def survival_gf_closed(
@@ -184,7 +169,7 @@ def survival_gf_closed(
     kappa: int,
     s: complex,
     *,
-    roots: RootSet | None = None,
+    roots: RootSet,
 ) -> complex:
     """Premium-rate 1 and 2 closed forms of the survival generating function.
 
@@ -200,9 +185,6 @@ def survival_gf_closed(
     if kappa != 2:
         raise UnsupportedKappa(f"closed generating function exists for kappa in (1, 2), got {kappa}")
     if dist.pmf(0) > 0.0:
-        if roots is None:
-            char = build_characteristic(dist, 2)
-            roots = find_unit_disk_roots(char)
         alpha = complex(roots.values[0])
         if abs(alpha.imag) > 1e-10 or not -1.0 - 1e-9 <= alpha.real < 0.0:
             raise RecurrenceBlowup(f"kappa=2 unit-disk root {alpha} is not in [-1, 0)")
@@ -221,34 +203,27 @@ def survival_gf_closed(
 
 
 def survival_gf_coefficients(
-    dist: ClaimDistribution, kappa: int, u_max: int, *, roots: RootSet
+    dist: ClaimDistribution, char: CharPolynomial, u_max: int, *, roots: RootSet
 ) -> np.ndarray:
     """phi(1)..phi(u_max+1) from the unit-disk roots alone.
 
     An independent route to the ultimate table: the same inversion of G_M,
     with the root product in place of the solved masses.
     """
-    char = build_characteristic(dist, kappa)
-    mass, _leak = sup_pgf_masses(root_product(dist, kappa, roots), dist, char, u_max + 1)
+    mass, _leak = sup_pgf_masses(root_product(dist, char.kappa, roots), char, u_max + 1)
     return np.cumsum(mass)
 
 
 def extend_sup_pmf_stable(
-    sup: SupremumPmf,
-    dist: ClaimDistribution,
-    kappa: int,
-    *,
-    char: CharPolynomial,
-    tail_target: float = 1e-10,
+    sup: SupremumPmf, char: CharPolynomial, *, tail_target: float = 1e-10
 ) -> np.ndarray:
     """P(M = 0..n), with n doubled until 1 - sum of the masses is below target.
 
     Raises if the target is not met within _EXTENSION_CAP terms.
     """
-    rcoeffs = cdf_toeplitz(dist, kappa) @ sup.mass
-    n = max(2 * kappa, 16)
+    n = max(2 * char.kappa, 16)
     while True:
-        mass = _solved_masses(rcoeffs, dist, char, n + 1)
+        mass = _solved_masses(sup, char, n + 1)
         remaining = 1.0 - float(mass.sum())
         if remaining < tail_target:
             return mass
@@ -279,7 +254,7 @@ def finite_time_grid(
     states past the previous step's last one, so kappa padding states
     suffice.
     """
-    x, _tail = dist.truncate(dist.trunc_eps)
+    x, _tail = dist.truncate(TRUNC_EPS)
     if state_cap is None:
         length = u_max + kappa * t_max
     else:

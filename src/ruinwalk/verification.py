@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import ClaimDistribution, check_net_profit
+from .distributions import TRUNC_EPS, ClaimDistribution, check_net_profit
 from .errors import NonConvergence
 from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
@@ -23,6 +23,9 @@ from .survival import finite_time_grid
 _CHUNK = 65_536
 _BLOCK = 192
 _SLICE = 512
+
+# where the generating-function identity is sampled: 20 points on |s| = 0.9
+IDENTITY_POINTS = 0.9 * np.exp(1j * (2.0 * np.pi * np.arange(20) / 20))
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,7 @@ def mc_stationarity_distance(
     cap = int(samples.max()) + 1
     pmf = np.bincount(samples, minlength=cap) / paths
 
-    x, _tail = dist.truncate(min(dist.trunc_eps, 1e-12))
+    x, _tail = dist.truncate(TRUNC_EPS)
     # (i + X - kappa)^+ : the law of i + X shifted down by kappa, with the
     # mass below zero collapsed onto zero
     conv = np.convolve(pmf, x)
@@ -355,30 +358,24 @@ def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int)
     return None
 
 
-def default_identity_points(n: int = 20, radius: float = 0.9) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(n) / n
-    return radius * np.exp(1j * angles)
-
-
 def stationarity_identity_residual(
     extended_mass: np.ndarray,
     dist: ClaimDistribution,
     kappa: int,
-    sample_points=None,
+    sample_points,
 ) -> float:
     """Max residual of the defining generating-function identity.
 
     With G_M the (truncated) generating function of the supremum pmf and
-    R(s) = C @ mass[:kappa] the numerator built from the cdf factor C,
+    R(s) = C @ mass[:kappa] the numerator built from the cdf factor C (from
+    the masses under test, not taken from the solve),
 
         G_M(s) (s^kappa - G_X(s)) = (s - 1) R(s)
                                   = sum_{i<kappa} m_i sum_{j<=kappa-1-i} x_j (s^kappa - s^{i+j})
 
     must hold on the closed disk; the maximum modulus of the difference over
-    the sample points is returned.
+    the sample points (IDENTITY_POINTS in the pipeline) is returned.
     """
-    if sample_points is None:
-        sample_points = default_identity_points()
     pts = np.asarray(sample_points, dtype=complex)
     mass = np.asarray(extended_mass, dtype=float)
     pgf = np.array([dist.pgf(s) for s in pts], dtype=complex)

@@ -30,7 +30,7 @@ from ruinwalk.survival import (
     ultimate_survival_table,
 )
 from ruinwalk.verification import (
-    default_identity_points,
+    IDENTITY_POINTS,
     horizon_bias_bound,
     mc_stationarity_distance,
     mc_walk_suprema,
@@ -82,7 +82,7 @@ def model4_solution(double_root_dist):
 def model2_state_cap(geometric, model2_solution):
     """Smallest power of two U >= 16 with 1 - phi(U) <= 1e-10 for model 2."""
     char, roots, sup = model2_solution
-    tail = tail_expansion(sup, geometric, 2, char, roots)
+    tail = tail_expansion(sup, char, roots)
     cap = 16
     while 1.0 - float(tail.phi(np.array([cap - 1.0]))[0]) > 1e-10:
         cap *= 2
@@ -112,8 +112,8 @@ def suprema_model4(double_root_dist):
 def phi_function(dist, kappa):
     """Analytic phi as a callable on arbitrary u, using the stable tail."""
     char, roots, sup = solve(dist, kappa)
-    table = ultimate_survival_table(sup, dist, kappa, 12, char=char)
-    tail = tail_expansion(sup, dist, kappa, char, roots)
+    table = ultimate_survival_table(sup, char, 12)
+    tail = tail_expansion(sup, char, roots)
 
     def phi(u: int) -> float:
         if u < table.phi.size:
@@ -126,7 +126,7 @@ def phi_function(dist, kappa):
 def test_criterion_1_bernoulli_unit_premium(bernoulli):
     p = 0.3
     char, roots, sup = solve(bernoulli, 1)
-    table = ultimate_survival_table(sup, bernoulli, 1, 50, char=char)
+    table = ultimate_survival_table(sup, char, 50)
     err0 = abs(table.phi[0] - (1.0 - p))
     err_ones = float(np.max(np.abs(table.phi[1:51] - 1.0)))
     gf_err = abs(survival_gf(sup, bernoulli, 1, 0.5) - 2.0)
@@ -144,10 +144,11 @@ def test_criterion_2_geometric_premium_two_three_routes(geometric, model2_soluti
     char, roots, sup = model2_solution
     printed0, printed1 = 0.0197691, 0.0295066
 
-    table = ultimate_survival_table(sup, geometric, 2, 3, char=char)
+    table = ultimate_survival_table(sup, char, 3)
     solve_err = max(abs(table.phi[0] - printed0), abs(table.phi[1] - printed1))
 
-    closed = closed_form_initial_values(roots, geometric, 2)
+    closed_sup = sup_pmf_closed_form(geometric, char, roots)
+    closed = closed_form_initial_values(closed_sup, roots, geometric)
     closed_err = max(abs(closed[0] - printed0), abs(closed[1] - printed1))
     closed_exact_err = max(abs(closed[0] - PHI0_EXACT_K2), abs(closed[1] - PHI1_EXACT_K2))
 
@@ -172,7 +173,7 @@ def test_criterion_3_geometric_premium_three(geometric, model3_solution):
     mass_err = float(
         np.max(np.abs(sup.mass - np.array([0.582072, 0.0818989, 0.0658497])))
     )
-    table = ultimate_survival_table(sup, geometric, 3, 3, char=char)
+    table = ultimate_survival_table(sup, char, 3)
     phi_err = float(
         np.max(np.abs(table.phi - np.array([0.480212, 0.582072, 0.663971, 0.729821])))
     )
@@ -194,9 +195,9 @@ def test_criterion_4_double_root_model(double_root_dist, model4_solution):
     mult_ok = r.multiplicity == 2
     deriv_row_used = True  # the system would be singular otherwise; asserted below
     mass_err = float(np.max(np.abs(sup.mass - np.array([1.0, 0.0, 0.0]))))
-    table = ultimate_survival_table(sup, double_root_dist, 3, 5, char=char)
+    table = ultimate_survival_table(sup, char, 5)
     phi0_err = abs(table.phi[0] - 0.968)
-    coeffs = survival_gf_coefficients(double_root_dist, 3, 30, roots=roots)
+    coeffs = survival_gf_coefficients(double_root_dist, char, 30, roots=roots)
     coeff_err = float(np.max(np.abs(coeffs - 1.0)))
     ok = root_err <= 1e-8 and mult_ok and mass_err <= 1e-9 and phi0_err <= 1e-12 and coeff_err <= 1e-9
     criterion(
@@ -214,10 +215,10 @@ def test_criterion_5_route_agreement_random_models(random_models):
     worst_table = 0.0
     for dist, kappa, roots, char in random_models:
         sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-        closed = sup_pmf_closed_form(dist, kappa, roots)
+        closed = sup_pmf_closed_form(dist, char, roots)
         worst_mass = max(worst_mass, float(np.max(np.abs(sup.mass - closed.mass))))
-        table = ultimate_survival_table(sup, dist, kappa, 25, char=char)
-        coeffs = survival_gf_coefficients(dist, kappa, 24, roots=roots)
+        table = ultimate_survival_table(sup, char, 25)
+        coeffs = survival_gf_coefficients(dist, char, 24, roots=roots)
         worst_table = max(worst_table, float(np.max(np.abs(coeffs - table.phi[1:]))))
     ok = worst_mass <= 1e-9 and worst_table <= 1e-9
     criterion(
@@ -240,11 +241,11 @@ def test_criterion_6_determinant_identity_random_models(random_models):
 
 
 def test_criterion_7_identity_residual_random_models(random_models):
-    pts = default_identity_points(20)
+    pts = IDENTITY_POINTS
     worst = 0.0
     for dist, kappa, roots, char in random_models:
         sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-        mass = extend_sup_pmf_stable(sup, dist, kappa, char=char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
         worst = max(worst, stationarity_identity_residual(mass, dist, kappa, pts))
     ok = worst <= 1e-8 + 1e-10
     criterion(
@@ -354,7 +355,7 @@ def test_criterion_9_stationarity_tv(
 
 def test_criterion_10_finite_time_convergence(geometric, model2_solution, model2_state_cap):
     char, roots, sup = model2_solution
-    table = ultimate_survival_table(sup, geometric, 2, 10, char=char)
+    table = ultimate_survival_table(sup, char, 10)
     grid = finite_time_grid(geometric, 2, 10, CONVERGENCE_HORIZON, state_cap=model2_state_cap)
 
     monotone_t = bool(np.all(np.diff(grid.phi, axis=0) <= 1e-14))
@@ -387,7 +388,7 @@ def test_criterion_11_support_shift_reduction(shifted_dist):
     reduced, kappa2, shift = reduce_support(shifted_dist, 2)
     assert (kappa2, shift) == (1, 1)
     char, roots, sup = solve(reduced, kappa2)
-    table = ultimate_survival_table(sup, reduced, kappa2, 10, char=char)
+    table = ultimate_survival_table(sup, char, 10)
 
     est = mc_survival(shifted_dist, 2, [0, 1, 2, 5], 200_000, 2000, seed=MC_SEED)
     mc_ok = True
@@ -400,7 +401,7 @@ def test_criterion_11_support_shift_reduction(shifted_dist):
     gf_err = 0.0
     for _ in range(50):
         s = (rng.uniform(-0.9, 0.9) + 1j * rng.uniform(-0.9, 0.9)) / np.sqrt(2.0)
-        direct = survival_gf_closed(shifted_dist, 2, s)  # (2-EX)/(Gt(s)-s)
+        direct = survival_gf_closed(shifted_dist, 2, s, roots=roots)  # (2-EX)/(Gt(s)-s)
         via_reduced = survival_gf(sup, reduced, kappa2, s)
         gf_err = max(gf_err, abs(direct - via_reduced))
     ok = mc_ok and gf_err <= 1e-10

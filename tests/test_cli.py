@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 import json
 import os
 import subprocess
@@ -9,6 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ruinwalk.charpoly as charpoly
+import ruinwalk.pipeline as pipeline
+import ruinwalk.supremum as supremum
+import ruinwalk.survival as survival
 import ruinwalk.verification as verification
 from ruinwalk.cli import main
 from ruinwalk.config import ModelConfig, config_from_dict, load_config
@@ -18,6 +23,8 @@ from ruinwalk.pipeline import run_model
 from ruinwalk.reporting import render_report, write_outputs
 
 P = 101.0 / 300.0
+# mean 0.99999 at premium rate 1: x_1 = 1 - 1e-5 cancels the s^1 term of Q
+NEAR_CRITICAL = FinitePmf((1e-5, 1 - 1e-5))
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -182,6 +189,43 @@ class TestPipeline:
         assert report.stationarity.paths == report.mc.paths == 2000
         assert report.all_passed
 
+    @pytest.mark.parametrize(
+        "dist, kappa", [(Geometric(P), 2), (FinitePmf((0.7, 0.3)), 1)],
+        ids=["geometric_k2", "bernoulli_k1"],
+    )
+    def test_verify_derives_each_model_polynomial_once(self, monkeypatch, dist, kappa):
+        # Q, g and Q1 come from one characteristic polynomial and R = C @ mass
+        # from the solve; only the identity check rebuilds R, from its own masses
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = ("build_characteristic", "deflate_at_one", "root_product", "cdf_toeplitz")
+        for module in (charpoly, supremum, survival, verification, pipeline):
+            for name in names:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+        cfg = ModelConfig(
+            kappa=kappa, dist=dist, u_max=30, t_max=10, mc_paths=2000, mc_horizon=100
+        )
+        report = run_model(cfg, verify=True)
+        assert report.all_passed
+        assert calls["build_characteristic"] == 1
+        assert calls["deflate_at_one"] == 1
+        assert calls["root_product"] <= 2
+        assert calls["cdf_toeplitz"] <= 2
+
+    def test_near_critical_model(self):
+        # the deflation remainder carries the roundoff of the cancelled s^1 term
+        report = run_model(ModelConfig(kappa=1, dist=NEAR_CRITICAL, u_max=50, t_max=30))
+        assert report.survival.phi[0] == pytest.approx(1e-5, rel=1e-6)  # 1 - EX
+        assert report.all_passed
+
 
 class TestCliProcess:
     def test_example_run_writes_outputs(self, tmp_path):
@@ -210,6 +254,13 @@ class TestCliProcess:
         assert survival[0] == "u,phi" and len(survival) == 2 and survival[1].startswith("0,")
         finite = (out / "finite_time.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in finite[1:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
+
+    def test_near_critical_model_exit_0(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"kappa": 1, "dist": NEAR_CRITICAL.to_dict(), "u_max": 50, "t_max": 30}
+        )
+        res = run_cli("--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert res.returncode == 0, res.stderr
 
     def test_net_profit_rejection_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 2, "dist": {"kind": "geometric", "p": 0.25}})
@@ -407,6 +458,26 @@ class TestRendering:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[path.name], path.name
         if model == "tiny_survival_k1":
             assert b"\r\n0,1,3e-05\r\n" in (tmp_path / "finite_time.csv").read_bytes()
+
+    # the same for a --verify run, Monte Carlo and sequence limits included
+    VERIFY_DIGESTS = {
+        "report.txt": "4fab38fb47510f10c4d247f893681daffad2b5b4df9ff77556709d47a45115c5",
+        "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
+        "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
+        "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
+        "verification.csv": "5b209289f277efc79c785f38f2a0ccb5599a0022c8fa2fec035c06397998e95e",
+    }
+
+    def test_verify_output_digests(self, tmp_path):
+        cfg = ModelConfig(
+            kappa=2, dist=Geometric(P), u_max=60, t_max=20,
+            mc_paths=4096, mc_horizon=2000, seed=7,
+        )
+        paths = write_outputs(run_model(cfg, verify=True), tmp_path, include_timings=False)
+        assert [p.name for p in paths] == list(self.VERIFY_DIGESTS)
+        for path in paths:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == self.VERIFY_DIGESTS[path.name], path.name
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_model(ModelConfig(kappa=2, dist=Geometric(P), u_max=4, t_max=6))

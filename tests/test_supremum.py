@@ -11,7 +11,7 @@ from ruinwalk.supremum import (
     sup_pmf_closed_form,
 )
 from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
-from ruinwalk.verification import default_identity_points
+from ruinwalk.verification import IDENTITY_POINTS
 
 from reference_values import PHI1_EXACT_K2
 
@@ -93,7 +93,7 @@ class TestAssembly:
 class TestCdfFactor:
     def test_matches_row_sums_and_identity_rhs(self, random_models):
         # reference: the per-row sums the cdf factor replaced, written out
-        pts = default_identity_points()
+        pts = IDENTITY_POINTS
         for dist, kappa, roots, _char in random_models:
             mass = solve_boundary_system(build_boundary_system(dist, kappa, roots)).mass
             r_loop = np.zeros(kappa)
@@ -144,21 +144,21 @@ class TestSolve:
 
 class TestClosedForm:
     def test_kappa2_geometric_exact_value(self, geometric):
-        _c, roots, _s, _sup = solve_model(geometric, 2)
-        closed = sup_pmf_closed_form(geometric, 2, roots)
+        char, roots, _s, _sup = solve_model(geometric, 2)
+        closed = sup_pmf_closed_form(geometric, char, roots)
         assert closed.mass[0] == pytest.approx(PHI1_EXACT_K2, abs=1e-10)
 
     def test_kappa1_empty_products(self, bernoulli):
         char = build_characteristic(bernoulli, 1)
         roots = find_unit_disk_roots(char)
-        closed = sup_pmf_closed_form(bernoulli, 1, roots)
+        closed = sup_pmf_closed_form(bernoulli, char, roots)
         assert closed.mass[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_agrees_with_solve_everywhere(self, random_models):
         worst = 0.0
-        for dist, kappa, roots, _char in random_models:
+        for dist, kappa, roots, char in random_models:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            closed = sup_pmf_closed_form(dist, kappa, roots)
+            closed = sup_pmf_closed_form(dist, char, roots)
             worst = max(worst, float(np.max(np.abs(sup.mass - closed.mass))))
         assert worst <= 1e-9
 
@@ -166,7 +166,7 @@ class TestClosedForm:
         # the double root enters the root product twice
         char = build_characteristic(double_root_dist, 3)
         roots = find_unit_disk_roots(char)
-        closed = sup_pmf_closed_form(double_root_dist, 3, roots)
+        closed = sup_pmf_closed_form(double_root_dist, char, roots)
         np.testing.assert_allclose(closed.mass, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -215,13 +215,13 @@ class TestVandermondeReduction:
 class TestExtension:
     def test_bernoulli_kappa1_all_zero(self, bernoulli):
         char, _r, _s, sup = solve_model(bernoulli, 1)
-        ext = extend_sup_pmf_stable(sup, bernoulli, 1, char=char)
+        ext = extend_sup_pmf_stable(sup, char)
         assert ext[0] == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(ext[1:], 0.0, atol=1e-14)
 
     def test_double_root_concentrated(self, double_root_dist):
         char, _r, _s, sup = solve_model(double_root_dist, 3)
-        ext = extend_sup_pmf_stable(sup, double_root_dist, 3, char=char)
+        ext = extend_sup_pmf_stable(sup, char)
         assert ext[0] == pytest.approx(1.0, abs=1e-11)
         np.testing.assert_allclose(ext[1:], 0.0, atol=1e-10)
 
@@ -229,7 +229,7 @@ class TestExtension:
         char = build_characteristic(geometric, 3)
         roots = find_unit_disk_roots(char)
         sup = solve_boundary_system(build_boundary_system(geometric, 3, roots))
-        table = ultimate_survival_table(sup, geometric, 3, 26, char=char)
-        ext = extend_sup_pmf_stable(sup, geometric, 3, char=char)
+        table = ultimate_survival_table(sup, char, 26)
+        ext = extend_sup_pmf_stable(sup, char)
         diffs = table.phi[2:26] - table.phi[1:25]  # phi(u+1)-phi(u) = P(M=u)
         np.testing.assert_allclose(ext[1:25], diffs, atol=1e-10)

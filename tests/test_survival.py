@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
+from ruinwalk.charpoly import RootSet, build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import NearPole, UnsupportedKappa
-from ruinwalk.supremum import build_boundary_system, solve_boundary_system
+from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
 from ruinwalk.survival import (
     closed_form_initial_values,
     enumerate_finite_time,
@@ -27,30 +27,34 @@ def solve_model(dist, kappa):
     return char, roots, sup
 
 
+def closed_values(dist, char, roots):
+    return closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)
+
+
 class TestUltimateTable:
     def test_geometric_kappa3_reference_values(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 10, char=char)
+        table = ultimate_survival_table(sup, char, 10)
         np.testing.assert_allclose(
             table.phi[:4], [0.480212, 0.582072, 0.663971, 0.729821], atol=1e-5
         )
 
     def test_double_root_values(self, double_root_dist):
         char, roots, sup = solve_model(double_root_dist, 3)
-        table = ultimate_survival_table(sup, double_root_dist, 3, 25, char=char)
+        table = ultimate_survival_table(sup, char, 25)
         assert table.phi[0] == pytest.approx(0.968, abs=1e-12)
         np.testing.assert_allclose(table.phi[1:], 1.0, atol=1e-12)
 
     def test_geometric_kappa2_exact_targets(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 5, char=char)
+        table = ultimate_survival_table(sup, char, 5)
         assert table.phi[0] == pytest.approx(PHI0_EXACT_K2, abs=1e-12)
         assert table.phi[1] == pytest.approx(PHI1_EXACT_K2, abs=1e-12)
 
     def test_monotone_and_bounded(self, random_models):
         for dist, kappa, roots, char in random_models[:60]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, 30, char=char)
+            table = ultimate_survival_table(sup, char, 30)
             assert np.all(table.phi >= -1e-10)
             assert np.all(table.phi <= 1.0 + 1e-10)
             assert np.all(np.diff(table.phi) >= -1e-10)
@@ -59,13 +63,13 @@ class TestUltimateTable:
         # phi(0) = sum_{i=1}^{kappa} x_{kappa-i} phi(i)
         for dist, kappa, roots, char in random_models[:60]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, kappa + 1, char=char)
+            table = ultimate_survival_table(sup, char, kappa + 1)
             acc = sum(dist.pmf(kappa - i) * table.phi[i] for i in range(1, kappa + 1))
             assert abs(table.phi[0] - acc) <= 1e-12
 
     def test_recurrence_fixed_point(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 40, char=char)
+        table = ultimate_survival_table(sup, char, 40)
         for u in range(0, 37):
             acc = sum(geometric.pmf(u + 3 - i) * table.phi[i] for i in range(1, u + 4))
             assert abs(table.phi[u] - acc) <= 1e-10
@@ -73,7 +77,7 @@ class TestUltimateTable:
     def test_deep_table_is_stable_and_monotone(self, geometric):
         # far beyond the naive recurrence's stability horizon
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 400, char=char)
+        table = ultimate_survival_table(sup, char, 400)
         assert np.all(np.diff(table.phi) >= -1e-12)
         assert table.phi[-1] < 1.0
 
@@ -95,13 +99,13 @@ class TestUltimateTable:
             total += m
             exact.append(total)
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 2000, char=char)
+        table = ultimate_survival_table(sup, char, 2000)
         err = np.max(np.abs(table.phi - np.array([float(v) for v in exact])))
         assert err <= 2e-13
 
     def test_convergence_to_one(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        tail = tail_expansion(sup, geometric, 2, char, roots)
+        tail = tail_expansion(sup, char, roots)
         u = 8
         while 1.0 - tail.phi(np.array([u - 1.0]))[0] > 1e-3:
             u *= 2
@@ -116,23 +120,23 @@ class TestStabilityMachinery:
         dist = FinitePmf((0.5, 0.0, 0.5))
         char, roots, sup = solve_model(dist, 2)
         assert roots.roots[0].on_boundary
-        table = ultimate_survival_table(sup, dist, 2, 200, char=char)
-        coeffs = survival_gf_coefficients(dist, 2, 199, roots=roots)
+        table = ultimate_survival_table(sup, char, 200)
+        coeffs = survival_gf_coefficients(dist, char, 199, roots=roots)
         np.testing.assert_allclose(coeffs, table.phi[1:], atol=1e-12)
-        tail = tail_expansion(sup, dist, 2, char, roots)
+        tail = tail_expansion(sup, char, roots)
         np.testing.assert_allclose(tail.phi(np.arange(200)), table.phi[1:], atol=1e-12)
 
     def test_unit_pole_coefficient_is_one(self, random_models):
         for dist, kappa, roots, char in random_models[:60]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            tail = tail_expansion(sup, dist, kappa, char, roots)
+            tail = tail_expansion(sup, char, roots)
             assert tail is not None
             assert abs(tail.unit_coeff - 1.0) <= 1e-8
 
     def test_tail_matches_recurrence_in_overlap(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        tail = tail_expansion(sup, geometric, 2, char, roots)
-        table = ultimate_survival_table(sup, geometric, 2, 10, char=char)
+        tail = tail_expansion(sup, char, roots)
+        table = ultimate_survival_table(sup, char, 10)
         us = np.arange(3, 11)
         np.testing.assert_allclose(tail.phi(us - 1.0), table.phi[3:11], atol=1e-11)
 
@@ -146,7 +150,7 @@ class TestStabilityMachinery:
                 char, roots, sup = solve_model(dist, kappa)
             else:
                 sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            tail = tail_expansion(sup, dist, kappa, char, roots)
+            tail = tail_expansion(sup, char, roots)
             partial = np.cumsum(sup.mass)
             np.testing.assert_allclose(
                 tail.phi(np.arange(kappa)), partial, atol=1e-10
@@ -155,14 +159,15 @@ class TestStabilityMachinery:
 
 class TestClosedFormInitialValues:
     def test_kappa1(self, bernoulli):
-        roots = find_unit_disk_roots(build_characteristic(bernoulli, 1))
-        vals = closed_form_initial_values(roots, bernoulli, 1)
+        char = build_characteristic(bernoulli, 1)
+        roots = find_unit_disk_roots(char)
+        vals = closed_values(bernoulli, char, roots)
         assert vals[0] == pytest.approx(0.7, abs=1e-14)  # 1 - EX
         assert vals[1] == pytest.approx(1.0, abs=1e-14)  # (1 - EX)/x0
 
     def test_kappa2_displayed_formula(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        vals = closed_form_initial_values(roots, geometric, 2)
+        vals = closed_values(geometric, char, roots)
         p = 101.0 / 300.0
         phi0 = (3 * p - 2 + np.sqrt(4 * p - 3 * p * p)) / (2 * p)
         phi1 = (3 * p - np.sqrt(4 * p - 3 * p * p)) / (2 * p * p)
@@ -171,7 +176,7 @@ class TestClosedFormInitialValues:
 
     def test_kappa3_product_formula(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        vals = closed_form_initial_values(roots, geometric, 3)
+        vals = closed_values(geometric, char, roots)
         a1, a2 = roots.values
         expected0 = (3.0 - geometric.mean()) / ((1 - a1) * (1 - a2))
         assert vals[0] == pytest.approx(expected0.real, abs=1e-12)
@@ -180,14 +185,15 @@ class TestClosedFormInitialValues:
     def test_agrees_with_table(self, random_models):
         for dist, kappa, roots, char in random_models[:80]:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, kappa, char=char)
-            vals = closed_form_initial_values(roots, dist, kappa)
+            table = ultimate_survival_table(sup, char, kappa)
+            vals = closed_values(dist, char, roots)
             assert np.max(np.abs(vals - table.phi[: kappa + 1])) <= 1e-9
 
     def test_rejects_multiple_roots(self, double_root_dist):
         # the double root enters the root product twice
-        roots = find_unit_disk_roots(build_characteristic(double_root_dist, 3))
-        vals = closed_form_initial_values(roots, double_root_dist, 3)
+        char = build_characteristic(double_root_dist, 3)
+        roots = find_unit_disk_roots(char)
+        vals = closed_values(double_root_dist, char, roots)
         np.testing.assert_allclose(vals, [0.968, 1.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -215,16 +221,17 @@ class TestGeneratingFunction:
 
 class TestClosedGf:
     def test_kappa1_bernoulli(self, bernoulli):
-        val = survival_gf_closed(bernoulli, 1, 0.0)
+        val = survival_gf_closed(bernoulli, 1, 0.0, roots=RootSet(()))
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_kappa2_geometric_value(self, geometric):
-        val = survival_gf_closed(geometric, 2, 0.0)
+        _char, roots, _sup = solve_model(geometric, 2)
+        val = survival_gf_closed(geometric, 2, 0.0, roots=roots)
         assert val.real == pytest.approx(PHI1_EXACT_K2, abs=1e-10)
 
     def test_kappa2_zero_origin_mass(self, shifted_dist):
         # EX = 1.4, shifted pgf at 0 is 0.6
-        val = survival_gf_closed(shifted_dist, 2, 0.0)
+        val = survival_gf_closed(shifted_dist, 2, 0.0, roots=RootSet(()))
         assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_general_gf(self, geometric):
@@ -238,44 +245,44 @@ class TestClosedGf:
 
     def test_unsupported_kappa(self, geometric):
         with pytest.raises(UnsupportedKappa):
-            survival_gf_closed(geometric, 3, 0.1)
+            survival_gf_closed(geometric, 3, 0.1, roots=RootSet(()))
 
 
 class TestSeriesCoefficients:
     def test_first_coefficient(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(geometric, 3, 0, roots=roots)
+        coeffs = survival_gf_coefficients(geometric, char, 0, roots=roots)
         assert coeffs[0] == pytest.approx(sup.mass[0], abs=1e-14)
 
     def test_geometric_kappa3_reference_values(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(geometric, 3, 2, roots=roots)
+        coeffs = survival_gf_coefficients(geometric, char, 2, roots=roots)
         np.testing.assert_allclose(coeffs, [0.582072, 0.663971, 0.729821], atol=1e-5)
 
     def test_double_root_all_ones(self, double_root_dist):
         char, roots, sup = solve_model(double_root_dist, 3)
-        coeffs = survival_gf_coefficients(double_root_dist, 3, 30, roots=roots)
+        coeffs = survival_gf_coefficients(double_root_dist, char, 30, roots=roots)
         np.testing.assert_allclose(coeffs, 1.0, atol=1e-12)
 
     def test_agrees_with_table_route(self, random_models):
         for dist, kappa, roots, char in random_models:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-            table = ultimate_survival_table(sup, dist, kappa, 25, char=char)
-            coeffs = survival_gf_coefficients(dist, kappa, 24, roots=roots)
+            table = ultimate_survival_table(sup, char, 25)
+            coeffs = survival_gf_coefficients(dist, char, 24, roots=roots)
             assert np.max(np.abs(coeffs - table.phi[1:])) <= 1e-9
 
 
 class TestStableExtension:
     def test_reaches_target(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
         assert 1.0 - mass.sum() < 1e-10
         assert mass.min() >= -1e-12
 
     def test_matches_table_differences(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-10)
-        table = ultimate_survival_table(sup, geometric, 2, 200, char=char)
+        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        table = ultimate_survival_table(sup, char, 200)
         diffs = table.phi[2:200] - table.phi[1:199]
         np.testing.assert_allclose(mass[1:199], diffs, atol=1e-11)
 
@@ -283,8 +290,8 @@ class TestStableExtension:
         # 1 - sum(mass) of the inverted pmf has no roundoff floor near 1e-12,
         # so a 1e-12 target is reachable
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, geometric, 2, char=char, tail_target=1e-12)
-        default = extend_sup_pmf_stable(sup, geometric, 2, char=char)
+        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-12)
+        default = extend_sup_pmf_stable(sup, char)
         assert mass.size == default.size == 4097
         assert mass.min() >= -1e-12
 
@@ -364,7 +371,7 @@ class TestFiniteTime:
 
     def test_dominates_ultimate(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 8, char=char)
+        table = ultimate_survival_table(sup, char, 8)
         grid = finite_time_grid(geometric, 2, 8, 60)
         assert np.all(grid.phi[-1] >= table.phi[:9] - 1e-12)
 

@@ -9,8 +9,8 @@ from ruinwalk.errors import NetProfitViolation, NonConvergence
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system
 from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
 from ruinwalk.verification import (
+    IDENTITY_POINTS,
     _CHUNK,
-    default_identity_points,
     mc_stationarity_distance,
     mc_survival,
     mc_walk_suprema,
@@ -51,7 +51,7 @@ class TestMcSurvival:
 
     def test_concordance_small_scale(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        table = ultimate_survival_table(sup, geometric, 3, 10, char=char)
+        table = ultimate_survival_table(sup, char, 10)
         est = mc_survival(geometric, 3, [0, 1, 2, 5, 10], paths=100_000, horizon=800, seed=12)
         for i, u in enumerate(est.u):
             # horizon bias at kappa=3 is far below the sampling noise
@@ -223,7 +223,7 @@ class TestSequenceLimits:
 
     def test_agrees_with_solver(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        table = ultimate_survival_table(sup, geometric, 2, 2, char=char)
+        table = ultimate_survival_table(sup, char, 2)
         lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
         assert abs(lim.phi0 - table.phi[0]) <= 1e-6
         assert abs(lim.phi1 - table.phi[1]) <= 1e-6
@@ -232,27 +232,27 @@ class TestSequenceLimits:
 class TestIdentityResidual:
     def test_both_sides_vanish_at_one(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
+        mass = extend_sup_pmf_stable(sup, char)
         res = stationarity_identity_residual(mass, geometric, 3, [1.0])
         assert res <= 1e-9
 
     def test_value_at_zero(self, geometric):
         # at s=0 both sides reduce to -m0 x0
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
+        mass = extend_sup_pmf_stable(sup, char)
         res = stationarity_identity_residual(mass, geometric, 3, [0.0])
         assert res <= 1e-12
 
     def test_circle_points(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char, tail_target=1e-10)
-        res = stationarity_identity_residual(mass, geometric, 3, default_identity_points())
+        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        res = stationarity_identity_residual(mass, geometric, 3, IDENTITY_POINTS)
         assert res <= 1e-8 + 1e-10
 
     def test_wrong_mass_detected(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, geometric, 3, char=char)
+        mass = extend_sup_pmf_stable(sup, char)
         corrupted = mass.copy()
         corrupted[0] += 1e-3
-        res = stationarity_identity_residual(corrupted, geometric, 3, default_identity_points())
+        res = stationarity_identity_residual(corrupted, geometric, 3, IDENTITY_POINTS)
         assert res > 1e-5
