@@ -29,6 +29,15 @@ from .errors import (
 )
 
 _DEFLATION_REL = 1e-12
+# an accepted root of multiplicity l leaves |Q^(j)| below TOL_ROOT times the
+# coefficient sum for every order j < l; raw roots this close to s = 1 are dropped
+TOL_ROOT = 1e-10
+# raw roots closer than TOL_CLUSTER form one multiple root; the partition
+# must not change between TOL_CLUSTER / 10 and TOL_CLUSTER * 10
+TOL_CLUSTER = 1e-6
+# roots with ||s| - 1| <= TOL_BOUNDARY lie on the unit circle and count as
+# unit-disk roots
+TOL_BOUNDARY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,7 @@ def _partition(points: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def cluster_multiplicities(raw, *, tol_cluster: float = 1e-6) -> list[tuple[complex, int]]:
+def cluster_multiplicities(raw, *, tol_cluster: float) -> list[tuple[complex, int]]:
     """Merge near-identical root approximations into (centroid, multiplicity).
 
     Raises AmbiguousCluster when the partition changes between tol/10 and
@@ -280,13 +289,7 @@ def _newton_polish(coeffs: np.ndarray, z0: complex, *, max_iter: int = 80) -> co
     return z
 
 
-def find_unit_disk_roots(
-    char: CharPolynomial,
-    *,
-    tol_root: float = 1e-10,
-    tol_cluster: float = 1e-6,
-    tol_boundary: float = 1e-8,
-) -> RootSet:
+def find_unit_disk_roots(char: CharPolynomial) -> RootSet:
     """Locate the kappa-1 roots of Q in |s| <= 1, s != 1, with multiplicities.
 
     Boundary roots (|s| ~ 1, e.g. roots of unity when the support lattice is
@@ -301,11 +304,11 @@ def find_unit_disk_roots(
         return RootSet(roots=())
 
     raw = aberth_roots(deflated)
-    inside_mask = (np.abs(raw) <= 1.0 + tol_boundary) & (np.abs(raw - 1.0) > tol_root)
+    inside_mask = (np.abs(raw) <= 1.0 + TOL_BOUNDARY) & (np.abs(raw - 1.0) > TOL_ROOT)
     inside_raw = raw[inside_mask]
-    outside_raw = raw[np.abs(raw) > 1.0 + tol_boundary]
+    outside_raw = raw[np.abs(raw) > 1.0 + TOL_BOUNDARY]
 
-    clusters = cluster_multiplicities(inside_raw, tol_cluster=tol_cluster)
+    clusters = cluster_multiplicities(inside_raw, tol_cluster=TOL_CLUSTER)
 
     # polish each cluster: a multiplicity-l root of Q is a simple root of
     # Q^(l-1), where Newton converges quadratically again
@@ -313,7 +316,7 @@ def find_unit_disk_roots(
     for value, mult in clusters:
         target = npoly.polyder(char.coeffs, mult - 1) if mult > 1 else char.coeffs
         z = _newton_polish(target, value)
-        if abs(z.imag) <= tol_cluster / 2.0:
+        if abs(z.imag) <= TOL_CLUSTER / 2.0:
             z = complex(z.real, 0.0)
         polished.append((z, mult))
 
@@ -336,7 +339,7 @@ def find_unit_disk_roots(
             d = abs(np.conj(zi) - zj)
             if d < best:
                 best, partner = d, j
-        if partner is None or best > tol_cluster * 10:
+        if partner is None or best > TOL_CLUSTER * 10:
             raise RootCountMismatch(
                 sum(m for _, m in polished),
                 expected,
@@ -357,13 +360,13 @@ def find_unit_disk_roots(
         for j in range(mult):
             dcoeffs = npoly.polyder(char.coeffs, j) if j else char.coeffs
             scale = float(np.abs(dcoeffs).sum())
-            if abs(npoly.polyval(value, dcoeffs)) > tol_root * max(scale, scale0):
+            if abs(npoly.polyval(value, dcoeffs)) > TOL_ROOT * max(scale, scale0):
                 raise ConvergenceFailure(
                     f"root {value} of multiplicity {mult} fails the order-{j} residual test"
                 )
 
     roots = tuple(
-        DiskRoot(value, mult, bool(abs(abs(value) - 1.0) <= tol_boundary))
+        DiskRoot(value, mult, bool(abs(abs(value) - 1.0) <= TOL_BOUNDARY))
         for value, mult in final
     )
     outside = tuple(_newton_polish(char.coeffs, z) for z in outside_raw)

@@ -24,6 +24,9 @@ from .errors import ImagLeak, MultipleRootsUnsupported, SingularSystem
 # and _OVERSAMPLE samples per wanted coefficient bound the r^-k rescaling
 _ALIAS_MASS = 1e-13
 _OVERSAMPLE = 8
+# largest roundoff-sized excursion accepted in a real answer: the imaginary
+# part of the solved masses, a negative mass and a table value outside [0, 1]
+TOL_REAL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,16 @@ def build_boundary_system(dist: ClaimDistribution, kappa: int, roots: RootSet) -
     return BoundarySystem(matrix, rhs, tuple(kinds), kappa, cdf)
 
 
-def solve_boundary_system(system: BoundarySystem, *, tol_real: float = 1e-8) -> SupremumPmf:
-    """Complex LU solve; the solution must be real up to tol_real."""
+def solve_boundary_system(system: BoundarySystem) -> SupremumPmf:
+    """Complex LU solve; the solution must be real up to TOL_REAL."""
     try:
         sol = np.linalg.solve(system.matrix, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"boundary system is singular: {exc}") from None
     residual = float(np.max(np.abs(system.matrix @ sol - system.rhs)))
     leak = float(np.max(np.abs(sol.imag))) if sol.size else 0.0
-    if leak > tol_real:
-        raise ImagLeak(leak, tol_real)
+    if leak > TOL_REAL:
+        raise ImagLeak(leak, TOL_REAL)
     mass = sol.real
     return SupremumPmf(mass, residual, leak, system.kappa, system.cdf @ mass)
 

@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from .charpoly import CharPolynomial, RootSet, reduce_support
 from .distributions import TRUNC_EPS, ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
-from .supremum import SupremumPmf, root_product, sup_pgf_masses
+from .supremum import TOL_REAL, SupremumPmf, root_product, sup_pgf_masses
 
 # outside roots closer than this are too near a double pole for the
 # simple-pole tail expansion
@@ -33,7 +33,6 @@ _EXTENSION_CAP = 200_000
 @dataclass(frozen=True)
 class SurvivalTable:
     phi: np.ndarray
-    kappa: int
     method: str
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class FiniteTimeGrid:
     """phi(u, T) for u = 0..u_max and T = 1..t_max (row T-1)."""
 
     phi: np.ndarray
-    kappa: int
-    state_cap: int | None = None
 
     def value(self, u: int, t: int) -> float:
         return float(self.phi[t - 1, u])
@@ -118,13 +115,7 @@ def _solved_masses(sup: SupremumPmf, char: CharPolynomial, n: int) -> np.ndarray
     return mass
 
 
-def ultimate_survival_table(
-    sup: SupremumPmf,
-    char: CharPolynomial,
-    u_max: int,
-    *,
-    bound_tol: float = 1e-8,
-) -> SurvivalTable:
+def ultimate_survival_table(sup: SupremumPmf, char: CharPolynomial, u_max: int) -> SurvivalTable:
     """phi(0)..phi(u_max) from the supremum pmf.
 
     phi(0) = sum_i mass_i F_X(kappa-1-i), the top coefficient of R(s);
@@ -134,9 +125,9 @@ def ultimate_survival_table(
     phi = np.empty(u_max + 1, dtype=float)
     phi[0] = sup.numerator[-1]
     phi[1:] = np.cumsum(_solved_masses(sup, char, u_max))
-    if np.any(phi < -bound_tol) or np.any(phi > 1.0 + bound_tol):
+    if np.any(phi < -TOL_REAL) or np.any(phi > 1.0 + TOL_REAL):
         raise RecurrenceBlowup("survival table left [0, 1]")
-    return SurvivalTable(phi=phi, kappa=char.kappa, method="pgf_fft")
+    return SurvivalTable(phi=phi, method="pgf_fft")
 
 
 def closed_form_initial_values(
@@ -272,7 +263,7 @@ def finite_time_grid(
         v = conv[kappa : kappa + top + 1]
         np.clip(v, 0.0, 1.0, out=v)
         rows[t - 1] = v[: u_max + 1]
-    return FiniteTimeGrid(phi=rows, kappa=kappa, state_cap=state_cap)
+    return FiniteTimeGrid(phi=rows)
 
 
 def enumerate_finite_time(dist: ClaimDistribution, kappa: int, u: int, t: int, *, eps: float = 1e-14) -> float:

@@ -34,9 +34,7 @@ class McEstimate:
     phi_hat: np.ndarray
     std_err: np.ndarray
     paths: int
-    horizon: int
     effective_horizon: int
-    seed: int
     suprema: np.ndarray
 
 
@@ -46,7 +44,6 @@ class StationarityReport:
     sampling_noise: float
     paths: int
     horizon: int
-    support_cap: int
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,6 @@ class SequenceLimits:
     phi0: float
     phi1: float
     stopped_at: int
-    gap: float
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -172,15 +168,15 @@ def mc_survival(
     eff = _effective_horizon(dist, kappa, horizon)
     best = _all_suprema(dist, kappa, paths, eff, seed, workers)
     phi_hat = (best[None, :] < u_arr[:, None]).mean(axis=1)
-    std_err = np.sqrt(phi_hat * (1.0 - phi_hat) / paths)
+    # floored at 1/paths: when no path (or every path) survives, the plug-in
+    # error is 0, and 3 std_err becomes the rule-of-three bound 3/paths
+    std_err = np.maximum(np.sqrt(phi_hat * (1.0 - phi_hat) / paths), 1.0 / paths)
     return McEstimate(
         u=u_arr,
         phi_hat=phi_hat,
         std_err=std_err,
         paths=paths,
-        horizon=horizon,
         effective_horizon=eff,
-        seed=seed,
         suprema=best,
     )
 
@@ -237,9 +233,7 @@ def mc_stationarity_distance(
     full[:cap] = pmf
     tv = 0.5 * float(np.abs(full - pushed).sum())
     noise = 0.5 * float(np.sqrt(pmf * (1.0 - pmf) / paths).sum())
-    return StationarityReport(
-        tv=tv, sampling_noise=noise, paths=paths, horizon=horizon, support_cap=cap
-    )
+    return StationarityReport(tv=tv, sampling_noise=noise, paths=paths, horizon=horizon)
 
 
 def recurrent_sequence_limits(
@@ -339,7 +333,7 @@ def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int)
                 gap = max(abs(est0 - prev0), abs(est1 - prev1))
                 plausible = -1e-6 <= est0 <= 1 + 1e-6 and -1e-6 <= est1 <= 1 + 1e-6
                 if candidate is None and gap < gap_tol and plausible:
-                    candidate = (est0, est1, n, gap)
+                    candidate = (est0, est1, n)
                     confirmed = 0
                 elif candidate is not None:
                     if abs(est0 - candidate[0]) < 10 * gap_tol and abs(est1 - candidate[1]) < 10 * gap_tol:
@@ -349,7 +343,6 @@ def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int)
                                 phi0=candidate[0],
                                 phi1=candidate[1],
                                 stopped_at=candidate[2],
-                                gap=candidate[3],
                             )
                     else:
                         candidate = None

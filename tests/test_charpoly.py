@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ruinwalk.charpoly as charpoly
 from ruinwalk.charpoly import (
     aberth_roots,
     build_characteristic,
@@ -193,8 +194,9 @@ class TestFindUnitDiskRoots:
             for w in roots.outside:
                 assert abs(w) > 1.0 + 1e-8
 
-    def test_count_mismatch_reported(self, geometric):
+    def test_count_mismatch_reported(self, geometric, monkeypatch):
         char = build_characteristic(geometric, 3)
+        # absurd boundary tolerance excludes the genuine interior roots
+        monkeypatch.setattr(charpoly, "TOL_BOUNDARY", -0.9)
         with pytest.raises(RootCountMismatch):
-            # absurd boundary tolerance excludes the genuine interior roots
-            find_unit_disk_roots(char, tol_boundary=-0.9)
+            find_unit_disk_roots(char)

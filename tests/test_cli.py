@@ -37,6 +37,11 @@ def run_cli(*args):
     )
 
 
+def _mismatching_digests(paths, digests) -> list[str]:
+    """Names of the written files whose sha256 differs from the pinned one."""
+    return [p.name for p in paths if hashlib.sha256(p.read_bytes()).hexdigest() != digests[p.name]]
+
+
 def write_config(tmp_path, payload, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -51,12 +56,28 @@ class TestConfig:
                 "dist": {"kind": "geometric", "p": 0.336},
                 "u_max": 17,
                 "t_max": 40,
-                "tolerances": {"tol_root": 1e-11},
                 "mc": {"paths": 777, "horizon": 99, "seed": 4},
             }
         )
         assert cfg.kappa == 2 and cfg.u_max == 17 and cfg.t_max == 40
-        assert cfg.tol_root == 1e-11 and cfg.mc_paths == 777 and cfg.seed == 4
+        assert cfg.mc_paths == 777 and cfg.mc_horizon == 99 and cfg.seed == 4
+
+    def test_settable_fields(self):
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert names == ["kappa", "dist", "u_max", "t_max", "mc_paths", "mc_horizon", "seed"]
+        # a class constant, not a setting: the benchmark's reference gate reads it
+        assert ModelConfig.tol_real == supremum.TOL_REAL
+
+    def test_rejects_tolerances(self):
+        # the decision tolerances are module constants; no config can loosen a check
+        with pytest.raises(ConfigError, match="tolerances"):
+            config_from_dict(
+                {
+                    "kappa": 2,
+                    "dist": {"kind": "geometric", "p": 0.5},
+                    "tolerances": {"tol_real": 0.5},
+                }
+            )
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -226,6 +247,15 @@ class TestPipeline:
         assert report.survival.phi[0] == pytest.approx(1e-5, rel=1e-6)  # 1 - EX
         assert report.all_passed
 
+    def test_no_surviving_path_is_not_an_exact_match(self):
+        # phi(0) = 1e-5: no path of 20 000 survives at u = 0, so the plug-in
+        # std err is 0; its 1/paths floor makes 3 std err the rule-of-three bound
+        cfg = ModelConfig(kappa=1, dist=NEAR_CRITICAL, u_max=50, t_max=30, mc_paths=20_000, seed=0)
+        report = run_model(cfg, verify=True)
+        assert report.mc.phi_hat[0] == 0.0
+        assert report.mc.std_err[0] == 1.0 / 20_000
+        assert report.all_passed
+
 
 class TestCliProcess:
     def test_example_run_writes_outputs(self, tmp_path):
@@ -295,9 +325,9 @@ class TestCliProcess:
             {"mc": {"paths": None}},
             {"dist": {"kind": "geometric", "p": "x"}},
             {"dist": {"kind": "finite", "pmf": [0.5, "a"]}},
-            {"tolerances": {"tol_real": "x"}},
+            {"tolerances": {"tol_real": 1e-8}},
         ],
-        ids=["u_max_str", "u_max_frac", "kappa_bool", "mc_null", "p_str", "pmf_str", "tol_str"],
+        ids=["u_max_str", "u_max_frac", "kappa_bool", "mc_null", "p_str", "pmf_str", "tolerances"],
     )
     def test_malformed_value_exit_2(self, tmp_path, payload):
         cfg = write_config(
@@ -397,53 +427,53 @@ class TestRendering:
         "geometric_k2": (
             Geometric(P), 2, 2000, 20,
             {
-                "report.txt": "63a66bd46e2436f11413a652b755459ac2138f6fa289b356103594e6040e4d38",
+                "report.txt": "c6f0ed45c58b2dfa6f7f356a6fa329012d706356604abcae183dda5b25d90284",
                 "survival.csv": "20750188c8ef29d93af2ae05863b8c95642d93490896e176173c9df93ef8ce51",
                 "finite_time.csv": "01f6c2e3ddf86f652e43aec8548539b9f86006f28afbb2c3701a8796d75622e4",
                 "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-                "verification.csv": "a50a05eaf3e719bb9ff951cf513ae158a827ddc52839c510ed0fe9adf559cbc4",
+                "verification.csv": "0a3dfca8527d61bf001abe4d6426490c813dab4f9c0144a1ca9210bc25a5e34c",
             },
         ),
         "double_root_k3": (
             FinitePmf((0.128, 0.576, 0.264, 0.032)), 3, 200, 50,
             {
-                "report.txt": "f0bab44fed34a0af17c4f082f17583c273dcdd109012152fdd49483e21b8e6e8",
+                "report.txt": "ac766e878d50d720f475a04b38d3579db53181e23596ee0707254f2bd4d2ae7d",
                 "survival.csv": "6f3b270b696bc29b5913f14f7b85c7d9e7853dc59c129d10663ce685a4697c6c",
                 "finite_time.csv": "d73da9751d130d4331f2d6e1675854641705b93f240e524038a25f46fcd5a3a6",
                 "roots.csv": "2c7c1cfa868483c572ae7fcf323d6a1b6044cfc120d25eecd6bc1a61ef9c0d1f",
-                "verification.csv": "56366afc3c40896aa3657c9529791e4e6f25535eef7c0e3703077d5635bb730c",
+                "verification.csv": "f1e81f2c8fadd7276230fd700e9c32ced36f7b9f55183ff81c83078e31d223de",
             },
         ),
         "shifted_k2": (
             FinitePmf((0.0, 0.6, 0.4)), 2, 200, 50,
             {
-                "report.txt": "5932f7f0b5d3886af780cf6cab65448bb560d3c5e3b8f4e039b4fd8168411c8d",
+                "report.txt": "0fd8bec46f1222af4805200e90a3c4c267ea9a0874547f6f6e4072852c17e3a1",
                 "survival.csv": "8c7d862097ec1de030635a0f076cd396a8df057c289c21424a707e2e7a0dc6a5",
                 "finite_time.csv": "e03942713fccbc19a7fd5fb634f69f711ead054265871268ed0cf7cb58392f40",
                 "roots.csv": "505570ef2023a2d575d3d1c3c7297e0b9d0e2ad0a7ff884b74529ab7c303b9f3",
-                "verification.csv": "4f60bec56a172d9957cac9dc69a5446b1893f0166f625645cfd20a2195ed1cf6",
+                "verification.csv": "fc32e8d3822999e42f1f4a48a798e41b33e91fab8a54e414fd050d4496631266",
             },
         ),
         # phi(0, T) = 3e-05 prints in exponent form
         "tiny_survival_k1": (
             FinitePmf((3e-5, 0.99997)), 1, 50, 30,
             {
-                "report.txt": "bde56bdde0c2cf5c6dcbaacc9fd9f405946b2ea3cb7a54b9b68110c31904dea6",
+                "report.txt": "af152eca7bd83c29c96037f3cc6285a4b289989c74245b2f8ca8ec1127151534",
                 "survival.csv": "2e43513922a7718aece5d1e1c539fd27a14c409e85e8be793f3f95ef87cf42e5",
                 "finite_time.csv": "9b9e3773c547b267ea1bf6b5e70c6335578557fa5f242b0571da63287a16c706",
                 "roots.csv": "505570ef2023a2d575d3d1c3c7297e0b9d0e2ad0a7ff884b74529ab7c303b9f3",
-                "verification.csv": "7d347ed2920e613e77b43dd73808a247d8b02f915168cd1b66e830079527b069",
+                "verification.csv": "b57d24dbe58d0b3f6c920d148f844e77866167862ab9e4daf243ff5286db6807",
             },
         ),
         # a root on the unit circle: on_boundary prints True
         "boundary_root_k2": (
             FinitePmf((0.5, 0.0, 0.5)), 2, 200, 50,
             {
-                "report.txt": "a2d2111aedc495150a1e77d80e947527fd6f36fbdf0b9b9a30a2f51e39114dc4",
+                "report.txt": "d8bf1eb0b3a4f15645582b7bc8d898ddedd094e8a8e33a6febf33b990e23c562",
                 "survival.csv": "58c955e59f1a34dc706e5c213cd8ef593a9032867e31c370cc32fcfae9a75329",
                 "finite_time.csv": "7240a8f92b28f2784f8cb2863b1a8370e15c156c4ffcc16ca12445f3edb81288",
                 "roots.csv": "17b7214fa800a32a0217dd552b3b8aad9e2cc079884a0436eaa002a6a391f598",
-                "verification.csv": "0349c2ade07ae05281f2f98cdb29540434867a0247d74918aa563de0adf2075e",
+                "verification.csv": "2cd612c9c40160a620d096cf42c631a3b9dd8058ee2deffd67480efbb967db97",
             },
         ),
     }
@@ -454,18 +484,17 @@ class TestRendering:
         report = run_model(ModelConfig(kappa=kappa, dist=dist, u_max=u_max, t_max=t_max))
         paths = write_outputs(report, tmp_path, include_timings=False)
         assert [p.name for p in paths] == list(digests)
-        for path in paths:
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[path.name], path.name
+        assert _mismatching_digests(paths, digests) == []
         if model == "tiny_survival_k1":
             assert b"\r\n0,1,3e-05\r\n" in (tmp_path / "finite_time.csv").read_bytes()
 
     # the same for a --verify run, Monte Carlo and sequence limits included
     VERIFY_DIGESTS = {
-        "report.txt": "4fab38fb47510f10c4d247f893681daffad2b5b4df9ff77556709d47a45115c5",
+        "report.txt": "b5a11bfb1d2fa5b8d380c39dcffe95b99b54f4e2fac8f4a6da96d0cdc4b758b8",
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-        "verification.csv": "5b209289f277efc79c785f38f2a0ccb5599a0022c8fa2fec035c06397998e95e",
+        "verification.csv": "ace9dff05f41e268b4eda7ab72db61c19d0698767d0597e94b5824811bd7611b",
     }
 
     def test_verify_output_digests(self, tmp_path):
@@ -475,9 +504,7 @@ class TestRendering:
         )
         paths = write_outputs(run_model(cfg, verify=True), tmp_path, include_timings=False)
         assert [p.name for p in paths] == list(self.VERIFY_DIGESTS)
-        for path in paths:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert digest == self.VERIFY_DIGESTS[path.name], path.name
+        assert _mismatching_digests(paths, self.VERIFY_DIGESTS) == []
 
     def test_unknown_format_rejected(self, tmp_path):
         report = run_model(ModelConfig(kappa=2, dist=Geometric(P), u_max=4, t_max=6))
