@@ -264,7 +264,9 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     )
 
     if verify:
-        _run_verification(report, config, dist, kappa, sup, char)
+        # phi(0..u_max) from the unit-disk roots alone
+        phi_roots = np.concatenate((init[:1], coeffs[:-1]))
+        _run_verification(report, config, dist, kappa, sup, char, phi_roots)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -276,6 +278,7 @@ def _run_verification(
     kappa: int,
     sup: SupremumPmf,
     char: CharPolynomial,
+    phi_roots: np.ndarray,
 ) -> None:
     """Oracle passes: identity residual, Monte Carlo, stationarity, sequences."""
     t = time.perf_counter()
@@ -291,13 +294,15 @@ def _run_verification(
     u_list = [u for u in (0, 1, 2, 5, 10) if u <= config.u_max]
     est = mc_survival(dist, kappa, u_list, config.mc_paths, config.mc_horizon, config.seed)
     # P(M >= extended.size) is below IDENTITY_TAIL_TARGET, so states from
-    # there on survive for good up to that error
+    # there on survive for good up to that error. The bias is taken against
+    # the root-product table: against `phi` itself, a table too low by delta
+    # would raise its own allowance by delta.
     bias = horizon_bias_bound(
         dist,
         kappa,
         est.u,
         est.effective_horizon,
-        phi_exact=phi,
+        phi_exact=phi_roots,
         state_cap=max(extended.size, phi.size),
     )
     worst = -np.inf

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .pipeline import RunReport
 
 MACHINE_DIGITS = 12
@@ -93,13 +95,31 @@ def render_report(report: RunReport, *, include_timings: bool = True) -> str:
     return "\n".join(lines)
 
 
-def _rows(line_format: str, *columns) -> str:
-    """The rows of `columns`, each formatted by `line_format`, in one `%` call."""
-    n = len(columns[0])
-    cells = [None] * (n * len(columns))
+def _value_cells(values, end: str) -> list[str]:
+    """`_M % x + end` for each float x of `values`, each distinct value formatted once.
+
+    Distinct means distinct bits, so -0.0 and 0.0 keep their own strings; the
+    distinct values go through one `%` call, with NUL (never produced by `%g`)
+    between them.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = (f"{_M}{end}\0" * distinct.size) % tuple(distinct.view(np.float64).tolist())
+    cells = np.array(text.split("\0")[:-1], dtype=object)
+    return cells[inverse].tolist()
+
+
+def _key_cells(values, end: str) -> list[str]:
+    """`f"{x}" + end` for each x of `values`: the integer, bool and name columns."""
+    return [f"{x}{end}" for x in values]
+
+
+def _join(*columns: list[str]) -> str:
+    """The rows of `columns`, whose cells already end in "," or "\r\n", as one string."""
+    cells = [None] * (len(columns[0]) * len(columns))
     for i, column in enumerate(columns):
         cells[i :: len(columns)] = column
-    return (line_format * n) % tuple(cells)
+    return "".join(cells)
 
 
 def write_outputs(
@@ -124,40 +144,39 @@ def write_outputs(
         # the csv module's default dialect: CRLF line ends, no field quoted
         phi = report.survival.phi
         path = outdir / "survival.csv"
-        text = _rows(f"%d,{_M}\r\n", range(phi.size), phi.tolist())
+        text = _join(_key_cells(range(phi.size), ","), _value_cells(phi, "\r\n"))
         path.write_text("u,phi\r\n" + text, newline="")
         written.append(path)
 
         # one T block at a time keeps the transient strings small
         path = outdir / "finite_time.csv"
         grid = report.finite_time.phi
-        us = range(grid.shape[1])
+        u_cells = _key_cells(range(grid.shape[1]), ",")
         with path.open("w", newline="") as fh:
             fh.write("u,t,phi\r\n")
             for t in range(1, grid.shape[0] + 1):
-                fh.write(_rows(f"%d,%d,{_M}\r\n", us, [t] * len(us), grid[t - 1].tolist()))
+                t_cells = [f"{t},"] * len(u_cells)
+                fh.write(_join(u_cells, t_cells, _value_cells(grid[t - 1], "\r\n")))
         written.append(path)
 
         roots = report.roots
         path = outdir / "roots.csv"
-        text = _rows(
-            f"{_M},{_M},%d,%s\r\n",
-            [r["re"] for r in roots],
-            [r["im"] for r in roots],
-            [r["multiplicity"] for r in roots],
-            [r["on_boundary"] for r in roots],
+        text = _join(
+            _value_cells([r["re"] for r in roots], ","),
+            _value_cells([r["im"] for r in roots], ","),
+            _key_cells([r["multiplicity"] for r in roots], ","),
+            _key_cells([r["on_boundary"] for r in roots], "\r\n"),
         )
         path.write_text("re,im,multiplicity,on_boundary\r\n" + text, newline="")
         written.append(path)
 
         checks = report.checks
         path = outdir / "verification.csv"
-        text = _rows(
-            f"%s,{_M},{_M},%s\r\n",
-            [c.name for c in checks],
-            [c.value for c in checks],
-            [c.bound for c in checks],
-            [c.passed for c in checks],
+        text = _join(
+            _key_cells([c.name for c in checks], ","),
+            _value_cells([c.value for c in checks], ","),
+            _value_cells([c.bound for c in checks], ","),
+            _key_cells([c.passed for c in checks], "\r\n"),
         )
         path.write_text("check,value,bound,passed\r\n" + text, newline="")
         written.append(path)

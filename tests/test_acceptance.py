@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots, reduce_support
-from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.supremum import (
     build_boundary_system,
     determinant_identity_error,
@@ -38,7 +37,7 @@ from ruinwalk.verification import (
     stationarity_identity_residual,
 )
 
-from reference_values import GEOMETRIC_P, PHI0_EXACT_K2, PHI1_EXACT_K2
+from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
 
 MC_PATHS = 1_000_000
 MC_HORIZON = 5_000

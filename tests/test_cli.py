@@ -256,6 +256,26 @@ class TestPipeline:
         assert report.mc.std_err[0] == 1.0 / 20_000
         assert report.all_passed
 
+    @pytest.mark.parametrize(
+        "dist, kappa",
+        [(FinitePmf((0.7, 0.3)), 1), (FinitePmf((0.128, 0.576, 0.264, 0.032)), 3)],
+        ids=["bernoulli_k1", "double_root_k3"],
+    )
+    def test_concordance_catches_a_table_too_low(self, monkeypatch, dist, kappa):
+        # the horizon bias is taken against the root-product table, so a table
+        # 1e-3 too low cannot raise its own allowance by the same 1e-3
+        table = pipeline.ultimate_survival_table
+
+        def lowered(*args):
+            good = table(*args)
+            return dataclasses.replace(good, phi=good.phi - 1e-3)
+
+        monkeypatch.setattr(pipeline, "ultimate_survival_table", lowered)
+        cfg = ModelConfig(kappa=kappa, dist=dist, u_max=20, t_max=5, mc_paths=4096, seed=3)
+        report = run_model(cfg, verify=True)
+        check = next(c for c in report.checks if c.name == "mc_concordance_excess")
+        assert not check.passed, check
+
 
 class TestCliProcess:
     def test_example_run_writes_outputs(self, tmp_path):
@@ -474,6 +494,18 @@ class TestRendering:
                 "finite_time.csv": "7240a8f92b28f2784f8cb2863b1a8370e15c156c4ffcc16ca12445f3edb81288",
                 "roots.csv": "17b7214fa800a32a0217dd552b3b8aad9e2cc079884a0436eaa002a6a391f598",
                 "verification.csv": "2cd612c9c40160a620d096cf42c631a3b9dd8058ee2deffd67480efbb967db97",
+            },
+        ),
+        # the table with the fewest repeated values: 25 983 distinct in the
+        # 40 020 cells of finite_time.csv
+        "geometric_k50": (
+            Geometric(0.03), 50, 2000, 20,
+            {
+                "report.txt": "000f1c26f41663b6a374bb86f8db0121c75631bcb32d1c1496702d430d2de65f",
+                "survival.csv": "e6f81d32ec2ab311ab6f436fce9b05c028440ed4005bbb743dca6247930f1ead",
+                "finite_time.csv": "26f31f3fbaa6fa1d36cc44fe4018a35fadd4ed029a6b46eb6076a824cd326711",
+                "roots.csv": "60d12e6f10b55dc3ad8c8a2b52e72c8db0f3dbc24d7793216113a396b59af22e",
+                "verification.csv": "549252b70772315a1124cca5b819df61b77ecb5d39bdde9191129ae6c0855e77",
             },
         ),
     }

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
-from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.supremum import (
     build_boundary_system,
     cdf_toeplitz,
@@ -10,7 +9,7 @@ from ruinwalk.supremum import (
     solve_boundary_system,
     sup_pmf_closed_form,
 )
-from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
+from ruinwalk.survival import extend_sup_pmf_stable, ultimate_survival_table
 from ruinwalk.verification import IDENTITY_POINTS
 
 from reference_values import PHI1_EXACT_K2

@@ -7,7 +7,7 @@ from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import NetProfitViolation, NonConvergence
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system
-from ruinwalk.survival import extend_sup_pmf_stable, tail_expansion, ultimate_survival_table
+from ruinwalk.survival import extend_sup_pmf_stable, ultimate_survival_table
 from ruinwalk.verification import (
     IDENTITY_POINTS,
     _CHUNK,
