@@ -56,8 +56,19 @@ class ClaimDistribution:
         """Finite pmf (p_0..p_m) covering mass >= 1-eps, plus the exact tail."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw integer claims; used by the Monte Carlo oracle."""
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 array `out` with the raw draws that `claims` maps.
+
+        The stream consumed is the one `sample(rng, out.shape)` consumes.
+        """
+        raise NotImplementedError
+
+    def claims(self, raw: np.ndarray) -> np.ndarray:
+        """Integer claims from raw draws; a pure map that leaves `raw` as it is."""
+        raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw integer claims, `claims` of a sized draw; used by the Monte Carlo oracle."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -115,7 +126,13 @@ class FinitePmf(ClaimDistribution):
             raise ConfigError("truncation tolerance must be positive")
         return self._p.copy(), 0.0
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.random(out=out)
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return self.claims(rng.random(size))
+
+    def claims(self, raw: np.ndarray) -> np.ndarray:
         """searchsorted(cdf, u, side="right") for uniform u, read from a guide table.
 
         Indexed search (Chen & Asau, AIIE Trans. 6, 1974): u lies in bucket
@@ -123,8 +140,10 @@ class FinitePmf(ClaimDistribution):
         j / K are exact. Within a bucket the answer is `below[j]`, the count of
         cdf points <= j / K, plus the count of points strictly inside the
         bucket that are <= u. When those inside points share one value the
-        count is one comparison; draws in buckets holding several distinct
-        values are searched directly.
+        count is one comparison, and both answers sit side by side in `pair`
+        (`below[j]` at 2j, `below[j] + step[j]` at 2j + 1), so the claim is one
+        gather; draws in buckets holding several distinct values are searched
+        directly.
 
         The cdf searched is +inf from the last point with mass on, so a pmf
         summing to less than 1 maps u >= cdf[-1] to that point, not past the
@@ -134,14 +153,15 @@ class FinitePmf(ClaimDistribution):
             cdf = self._cdf.copy()
             cdf[self.max_support() :] = np.inf
             object.__setattr__(self, "_guide", (cdf, *_guide_table(cdf)))
-        cdf, k, below, split, step, multi = self._guide
-        u = rng.random(size)
-        j = (u * k).astype(np.intp)
-        out = below[j]
-        out += (u >= split[j]) * step[j]
-        if multi is not None:
-            hit = multi[j]
-            out[hit] = np.searchsorted(cdf, u[hit], side="right")
+        cdf, k, pair, split, multi = self._guide
+        j = np.multiply(raw, k, out=np.empty(raw.shape, dtype=np.intp), casting="unsafe")
+        hit = None if multi is None else multi[j]
+        above = raw >= split[j]
+        j += j
+        j += above
+        out = pair[j]
+        if hit is not None:
+            out[hit] = np.searchsorted(cdf, raw[hit], side="right")
         return out
 
     def to_dict(self) -> dict:
@@ -149,12 +169,14 @@ class FinitePmf(ClaimDistribution):
 
 
 def _guide_table(cdf: np.ndarray):
-    """Buckets of the guide-table sampler: (K, below, split, step, multi).
+    """Buckets of the guide-table sampler: (K, pair, split, multi).
 
     K is a power of two >= max(256, 4 * support), so most buckets hold at
     most one cdf value. `split[j]` is that value for a bucket whose interior
-    points are all equal (inf otherwise) and `step[j]` their count; `multi`
-    flags the buckets with several distinct interior values, or is None.
+    points are all equal (inf otherwise); `pair[2j]` is `below[j]`, the count
+    of cdf points <= j / K, and `pair[2j + 1]` adds the count of interior
+    points. `multi` flags the buckets with several distinct interior values,
+    or is None.
     """
     k = 256
     while k < 4 * cdf.size:
@@ -168,8 +190,10 @@ def _guide_table(cdf: np.ndarray):
     single = inside & (first == last)
     multi = inside & ~single
     split = np.where(single, first, np.inf)
-    step = np.where(single, upto - below, 0).astype(np.int64)
-    return k, below.astype(np.int64), split, step, multi if multi.any() else None
+    pair = np.empty(2 * k, dtype=np.int64)
+    pair[0::2] = below
+    pair[1::2] = np.where(single, upto, below)
+    return k, pair, split, multi if multi.any() else None
 
 
 @dataclass(frozen=True)
@@ -226,12 +250,18 @@ class Geometric(ClaimDistribution):
         tail = self.q ** (m + 1)
         return pmf, tail
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_exponential(out=out)
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return self.claims(rng.standard_exponential(size))
+
+    def claims(self, raw: np.ndarray) -> np.ndarray:
         # floor(E / ln(1/q)) with E standard exponential is exactly this law:
         # P(floor(E/c) = k) = e^(-ck) (1 - e^(-c)) = q^k p; faster than the
         # library geometric for bulk draws
         scale = 1.0 / math.log(1.0 / self.q)
-        return (rng.standard_exponential(size) * scale).astype(np.int64)
+        return np.multiply(raw, scale, out=np.empty(raw.shape, dtype=np.int64), casting="unsafe")
 
     def to_dict(self) -> dict:
         return {"kind": "geometric", "p": self.p}

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .charpoly import CharPolynomial, RootSet, reduce_support
-from .distributions import TRUNC_EPS, ClaimDistribution
+from .distributions import TRUNC_EPS, ClaimDistribution, Geometric
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
 from .supremum import TOL_REAL, SupremumPmf, root_product, sup_pgf_masses
 
@@ -223,6 +223,40 @@ def extend_sup_pmf_stable(
         n *= 2
 
 
+def _one_pole(p: float, q: float, w: np.ndarray) -> np.ndarray:
+    """y_j = q y_{j-1} + p w_j with y_{-1} = 0: w convolved with the whole pmf p q^k.
+
+    A doubling scan: after the pass with shift k, y_j holds the terms of
+    the lags below 2k, and the pass adds q^k y_{j-k}. Its log2(len(w))
+    passes are elementwise, so y_j depends on w_0..w_j alone, whatever the
+    length of w. Every weight is a power of q <= 1 and every term is
+    non-negative, so nothing cancels, and a nondecreasing w gives a
+    nondecreasing y in floating point too: each pass adds a nondecreasing
+    non-negative sequence to one. A pass whose q^k underflows to zero would
+    add zeros, so the scan stops there.
+    """
+    y = p * w
+    shifted = np.empty_like(y)
+    k = 1
+    while k < y.size and q**k > 0.0:
+        np.multiply(y[:-k], q**k, out=shifted[k:])
+        y[k:] += shifted[k:]
+        k *= 2
+    return y
+
+
+def _claim_filter(dist: ClaimDistribution):
+    """w -> x * w for the claim pmf x, exact in its first w.size entries.
+
+    A geometric law runs as its one-pole recursion, with no truncation; a
+    finite pmf is one np.convolve.
+    """
+    if isinstance(dist, Geometric):
+        return lambda w: _one_pole(dist.p, dist.q, w)
+    x, _tail = dist.truncate(TRUNC_EPS)
+    return lambda w: np.convolve(x, w)
+
+
 def finite_time_grid(
     dist: ClaimDistribution,
     kappa: int,
@@ -234,18 +268,17 @@ def finite_time_grid(
     """Dynamic-programming grid of phi(u, T), T = 1..t_max, u = 0..u_max.
 
     Without a cap the state space holds the full dependence cone
-    u_max + kappa*t_max and the grid is exact (up to pmf truncation for
-    unbounded laws). With `state_cap` every state at or above the cap is
-    treated as certain survival, which keeps the grid an upper bound whose
-    error is at most the chance of ever reaching the cap; choose the cap
-    where 1 - phi(cap) is negligible.
+    u_max + kappa*t_max and the grid is exact up to roundoff. With
+    `state_cap` every state at or above the cap is treated as certain
+    survival, which keeps the grid an upper bound whose error is at most the
+    chance of ever reaching the cap; choose the cap where 1 - phi(cap) is
+    negligible.
 
     Step t computes only the states u <= u_max + kappa*(t_max - t) that the
     remaining steps can still reach from u_max. A step reads at most kappa
     states past the previous step's last one, so kappa padding states
-    suffice.
+    suffice. The step's convolution with the claim pmf is `_claim_filter`.
     """
-    x, _tail = dist.truncate(TRUNC_EPS)
     if state_cap is None:
         length = u_max + kappa * t_max
     else:
@@ -253,14 +286,14 @@ def finite_time_grid(
     v = np.ones(length + 1, dtype=float)
     rows = np.empty((t_max, u_max + 1), dtype=float)
     work = np.empty(length + 1 + kappa, dtype=float)
+    step = _claim_filter(dist)
     for t in range(1, t_max + 1):
         n = v.size
         work[:n] = v
         work[n : n + kappa] = 1.0
         work[0] = 0.0
         top = min(length, u_max + kappa * (t_max - t))
-        conv = np.convolve(x, work[: n + kappa])
-        v = conv[kappa : kappa + top + 1]
+        v = step(work[: n + kappa])[kappa : kappa + top + 1]
         np.clip(v, 0.0, 1.0, out=v)
         rows[t - 1] = v[: u_max + 1]
     return FiniteTimeGrid(phi=rows)

@@ -8,8 +8,10 @@ survival initial values are recovered from ratios of recurrent sequences.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,43 +74,90 @@ def _effective_horizon(dist: ClaimDistribution, kappa: int, horizon: int) -> int
     return horizon
 
 
+def _raw_slices(
+    dist: ClaimDistribution,
+    rng: np.random.Generator,
+    n_paths: int,
+    horizon: int,
+    buffers: np.ndarray,
+):
+    """The chunk's raw draws in stream order: (lo, hi, raw) per slice.
+
+    Each block of up to _BLOCK steps is one path-major segment of the stream,
+    (n_paths, b) in C order, drawn in consecutive slices of up to
+    _SLICE * _BLOCK draws: _SLICE paths of a full block, more paths of a
+    shorter one. The slices alternate between the two rows of `buffers`, so
+    a slice's `raw` stays valid until the slice after next is drawn.
+    """
+    done = 0
+    index = 0
+    while done < horizon:
+        b = min(_BLOCK, horizon - done)
+        rows = _SLICE * _BLOCK // b
+        for lo in range(0, n_paths, rows):
+            hi = min(lo + rows, n_paths)
+            raw = buffers[index % 2, : (hi - lo) * b].reshape(hi - lo, b)
+            yield lo, hi, dist.draw(rng, raw)
+            index += 1
+        done += b
+
+
+def _prefetched(slices):
+    """The items of `slices`, each drawn on a second thread while the caller
+    works on the one before.
+
+    Item i + 2, which reuses item i's buffer, is only asked for once the
+    caller has come back for item i + 1, that is once it is done with item
+    i. An error while drawing reaches the caller through `result()`.
+    Closing the generator joins the thread.
+    """
+    with ThreadPoolExecutor(max_workers=1) as thread:
+        ahead = thread.submit(next, slices, None)
+        while (item := ahead.result()) is not None:
+            ahead = thread.submit(next, slices, None)
+            yield item
+
+
 def _simulate_suprema_chunk(
     dist: ClaimDistribution,
     kappa: int,
     rng: np.random.Generator,
     n_paths: int,
     horizon: int,
+    *,
+    threaded: bool = False,
 ):
     """Unclipped running suprema of the centred walk for one chunk of paths.
 
     Consumption of the stream is a fixed function of (n_paths, horizon), so a
     path's draws depend only on its chunk and position, never on the fate of
-    other paths. Each block of up to _BLOCK steps is one path-major segment of
-    the stream, (n_paths, b) in C order; it is drawn in consecutive slices of
-    _SLICE paths, which read that segment in the same order while the
+    other paths. The raw draws come from `_raw_slices`, on a second thread
+    when `threaded`; either way this thread maps them to claims, and the
     subtract, cumsum and max of a slice stay in cache.
     """
     running = np.zeros(n_paths, dtype=np.int64)
     best = np.full(n_paths, np.iinfo(np.int64).min, dtype=np.int64)
-    done = 0
-    while done < horizon:
-        b = min(_BLOCK, horizon - done)
-        for lo in range(0, n_paths, _SLICE):
-            hi = min(lo + _SLICE, n_paths)
-            draws = dist.sample(rng, (hi - lo, b))
+    # allocated here, not on the drawing thread: what that thread's malloc
+    # arena takes stays with the process after the thread ends, so peak RSS
+    # grew with every call
+    buffers = np.empty((2, _SLICE * _BLOCK), dtype=float)
+    slices = _raw_slices(dist, rng, n_paths, horizon, buffers)
+    drawing = contextlib.closing(_prefetched(slices)) if threaded else contextlib.nullcontext(slices)
+    with drawing as drawn:
+        for lo, hi, raw in drawn:
+            draws = dist.claims(raw)
             np.subtract(draws, kappa, out=draws)
             draws[:, 0] += running[lo:hi]
             np.cumsum(draws, axis=1, out=draws)
             np.maximum(best[lo:hi], draws.max(axis=1), out=best[lo:hi])
             running[lo:hi] = draws[:, -1]
-        done += b
     return best
 
 
 def _suprema_task(args):
-    dist, kappa, seed, chunk_index, n, horizon = args
+    dist, kappa, seed, chunk_index, n, horizon, threaded = args
     rng = _chunk_rng(seed, chunk_index)
-    return chunk_index, _simulate_suprema_chunk(dist, kappa, rng, n, horizon)
+    return chunk_index, _simulate_suprema_chunk(dist, kappa, rng, n, horizon, threaded=threaded)
 
 
 def _all_suprema(
@@ -122,17 +171,21 @@ def _all_suprema(
     """Suprema for every path, merged from fixed-size chunks.
 
     Chunk streams are keyed (seed, chunk index), so the result does not depend
-    on how many workers processed them.
+    on how many workers processed them. Chunks run in this process draw on a
+    second thread when more than one CPU is available; pooled chunks already
+    occupy the CPUs, so they draw inline.
     """
     sizes = []
     remaining = paths
     while remaining > 0:
         sizes.append(min(_CHUNK, remaining))
         remaining -= sizes[-1]
-    tasks = [(dist, kappa, seed, i, n, horizon) for i, n in enumerate(sizes)]
+    pooled = workers > 1 and len(sizes) > 1
+    threaded = not pooled and len(os.sched_getaffinity(0)) > 1
+    tasks = [(dist, kappa, seed, i, n, horizon, threaded) for i, n in enumerate(sizes)]
     out = np.empty(paths, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    if workers <= 1 or len(tasks) == 1:
+    if not pooled:
         results = map(_suprema_task, tasks)
     else:
         pool = ProcessPoolExecutor(max_workers=workers)

@@ -449,7 +449,7 @@ class TestRendering:
             {
                 "report.txt": "c6f0ed45c58b2dfa6f7f356a6fa329012d706356604abcae183dda5b25d90284",
                 "survival.csv": "20750188c8ef29d93af2ae05863b8c95642d93490896e176173c9df93ef8ce51",
-                "finite_time.csv": "01f6c2e3ddf86f652e43aec8548539b9f86006f28afbb2c3701a8796d75622e4",
+                "finite_time.csv": "24321a5de14047ce0b5e5cefedeaff996920875d3d9e2eb86b9a1bb868518c5e",
                 "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
                 "verification.csv": "0a3dfca8527d61bf001abe4d6426490c813dab4f9c0144a1ca9210bc25a5e34c",
             },
@@ -503,7 +503,7 @@ class TestRendering:
             {
                 "report.txt": "000f1c26f41663b6a374bb86f8db0121c75631bcb32d1c1496702d430d2de65f",
                 "survival.csv": "e6f81d32ec2ab311ab6f436fce9b05c028440ed4005bbb743dca6247930f1ead",
-                "finite_time.csv": "26f31f3fbaa6fa1d36cc44fe4018a35fadd4ed029a6b46eb6076a824cd326711",
+                "finite_time.csv": "d4eebdcb2025c0ec0b32aa0551bd217387bcf90156a52f275c2d96514427ea05",
                 "roots.csv": "60d12e6f10b55dc3ad8c8a2b52e72c8db0f3dbc24d7793216113a396b59af22e",
                 "verification.csv": "549252b70772315a1124cca5b819df61b77ecb5d39bdde9191129ae6c0855e77",
             },
@@ -526,7 +526,7 @@ class TestRendering:
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-        "verification.csv": "ace9dff05f41e268b4eda7ab72db61c19d0698767d0597e94b5824811bd7611b",
+        "verification.csv": "41006440890954796f8dd2398e57f226e057f085a161d17021063246bc98dc3e",
     }
 
     def test_verify_output_digests(self, tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ruinwalk.charpoly import RootSet, build_characteristic, find_unit_disk_roots
-from ruinwalk.distributions import FinitePmf, Geometric
+from ruinwalk.distributions import TRUNC_EPS, FinitePmf, Geometric
 from ruinwalk.errors import NearPole, UnsupportedKappa
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
 from ruinwalk.survival import (
+    _claim_filter,
     closed_form_initial_values,
     enumerate_finite_time,
     extend_sup_pmf_stable,
@@ -297,25 +298,87 @@ class TestStableExtension:
 
 
 def _full_cone_grid(dist, kappa, u_max, t_max, state_cap=None):
-    """Reference DP: every step carries all states and pads kappa + m ones."""
-    x, _tail = dist.truncate(dist.trunc_eps)
-    m = x.size - 1
+    """Reference DP: every step carries all states and pads kappa ones.
+
+    Its step is the grid's own convolution with the claim pmf, so what it
+    checks is the trimming of the cone; `TestExactDp` checks the step.
+    """
     if state_cap is None:
         length = u_max + kappa * t_max
     else:
         length = max(u_max + kappa, int(state_cap))
+    step = _claim_filter(dist)
     v = np.ones(length + 1, dtype=float)
     rows = np.empty((t_max, u_max + 1), dtype=float)
-    work = np.empty(length + 1 + kappa + m, dtype=float)
+    work = np.empty(length + 1 + kappa, dtype=float)
     for t in range(1, t_max + 1):
         work[: length + 1] = v
         work[length + 1 :] = 1.0
         work[0] = 0.0
-        conv = np.convolve(x, work)
-        v = conv[kappa : kappa + length + 1]
+        v = step(work)[kappa : kappa + length + 1]
         np.clip(v, 0.0, 1.0, out=v)
         rows[t - 1] = v[: u_max + 1]
     return rows
+
+
+def _mp_geometric_grid(dist, kappa, u_max, t_max, state_cap, digits=40):
+    """The capped geometric DP in `digits`-digit arithmetic, as a float array.
+
+    The law is P(X = k) = p (1 - p)^k with 1 - p taken exactly; each step
+    convolves with the whole pmf through y_j = (1 - p) y_{j-1} + p w_j.
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        p = mp.mpf(dist.p)
+        q = 1 - p
+        length = max(u_max + kappa, state_cap)
+        v = [mp.mpf(1)] * (length + 1)
+        rows = []
+        for _t in range(t_max):
+            w = [mp.mpf(0)] + v[1:] + [mp.mpf(1)] * kappa
+            y = mp.mpf(0)
+            new = []
+            for j, wj in enumerate(w):
+                y = q * y + p * wj
+                if j >= kappa:
+                    new.append(min(y, mp.mpf(1)))
+            v = new[: length + 1]
+            rows.append([float(x) for x in v[: u_max + 1]])
+    return np.array(rows)
+
+
+def _truncated_convolution_grid(dist, kappa, u_max, t_max, state_cap):
+    """The capped DP with the pmf truncated at TRUNC_EPS and np.convolve steps."""
+    x, _tail = dist.truncate(TRUNC_EPS)
+    length = max(u_max + kappa, state_cap)
+    v = np.ones(length + 1, dtype=float)
+    rows = np.empty((t_max, u_max + 1), dtype=float)
+    for t in range(t_max):
+        work = np.concatenate((v, np.ones(kappa)))
+        work[0] = 0.0
+        v = np.convolve(x, work)[kappa : kappa + length + 1]
+        np.clip(v, 0.0, 1.0, out=v)
+        rows[t] = v[: u_max + 1]
+    return rows
+
+
+class TestExactDp:
+    """The geometric DP step is exact up to roundoff: no truncated pmf."""
+
+    @pytest.mark.parametrize(
+        "p, kappa, t_max, state_cap",
+        [(GEOMETRIC_P, 2, 300, 600), (0.03, 50, 120, 1601)],
+        ids=["geom_k2", "geom_k50"],
+    )
+    def test_one_pole_within_truncated_convolution_error(self, p, kappa, t_max, state_cap):
+        dist = Geometric(p)
+        exact = _mp_geometric_grid(dist, kappa, 10, t_max, state_cap)
+        grid = finite_time_grid(dist, kappa, 10, t_max, state_cap=state_cap).phi
+        convolved = _truncated_convolution_grid(dist, kappa, 10, t_max, state_cap)
+        err = np.max(np.abs(grid - exact))
+        assert err <= np.max(np.abs(convolved - exact))
+        assert err <= 1e-13
 
 
 class TestFiniteTime:

@@ -1,8 +1,15 @@
+import faulthandler
 import hashlib
+import itertools
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ruinwalk import verification
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import NetProfitViolation, NonConvergence
@@ -10,7 +17,10 @@ from ruinwalk.supremum import build_boundary_system, solve_boundary_system
 from ruinwalk.survival import extend_sup_pmf_stable, ultimate_survival_table
 from ruinwalk.verification import (
     IDENTITY_POINTS,
+    _BLOCK,
     _CHUNK,
+    _SLICE,
+    _chunk_rng,
     mc_stationarity_distance,
     mc_survival,
     mc_walk_suprema,
@@ -123,6 +133,144 @@ class TestStreamConsumption:
     def test_multi_block_horizon_matches_digest(self, dist, kappa, digest):
         # 500 steps cross two block boundaries; 3000 paths end in a partial slice
         assert _digest(mc_walk_suprema(dist, kappa, 3000, 500, 17)) == digest
+
+
+def _serial_suprema(dist, kappa, rng, n_paths, horizon):
+    """Oracle: the kernel as one serial loop, each slice drawn by `sample` where it is used."""
+    running = np.zeros(n_paths, dtype=np.int64)
+    best = np.full(n_paths, np.iinfo(np.int64).min, dtype=np.int64)
+    done = 0
+    while done < horizon:
+        b = min(_BLOCK, horizon - done)
+        for lo in range(0, n_paths, _SLICE):
+            hi = min(lo + _SLICE, n_paths)
+            draws = dist.sample(rng, (hi - lo, b))
+            np.subtract(draws, kappa, out=draws)
+            draws[:, 0] += running[lo:hi]
+            np.cumsum(draws, axis=1, out=draws)
+            np.maximum(best[lo:hi], draws.max(axis=1), out=best[lo:hi])
+            running[lo:hi] = draws[:, -1]
+        done += b
+    return best
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestPipelinedKernel:
+    """The draws run on a second thread on a multi-CPU host, inline on one CPU;
+    both give the serial loop's suprema byte for byte."""
+
+    @given(
+        law=st.sampled_from([(Geometric(GEOMETRIC_P), (2, 5)), (UNIFORM_40, (21, 30))]),
+        paths=st.integers(1, 1500),
+        horizon=st.integers(1, 450),
+        kappa_pick=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+        cpus=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_serial_oracle(self, law, paths, horizon, kappa_pick, seed, cpus):
+        dist, (lo, hi) = law
+        kappa = min(lo + kappa_pick, hi)
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, cpus)
+            got = mc_walk_suprema(dist, kappa, paths, horizon, seed)
+        expected = _serial_suprema(dist, kappa, _chunk_rng(seed, 0), paths, horizon)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1)])
+    def test_thread_only_with_several_cpus(self, monkeypatch, cpus, threads):
+        _cpus(monkeypatch, cpus)
+        started = []
+        prefetched = verification._prefetched
+
+        def counted(slices):
+            started.append(1)
+            return prefetched(slices)
+
+        monkeypatch.setattr(verification, "_prefetched", counted)
+        mc_walk_suprema(UNIFORM_40, 25, 700, 300, 4)
+        assert len(started) == threads
+        # pooled chunks draw inline, whatever the CPU count; the pool runs
+        # them here so that the count sees them
+        monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
+        started.clear()
+        mc_walk_suprema(UNIFORM_40, 25, _CHUNK + 10, 2, 4, workers=2)
+        assert started == []
+
+
+class _InlinePool:
+    def __init__(self, max_workers):
+        pass
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+    def shutdown(self):
+        pass
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class _MapFailsOnThirdSlice(FinitePmf):
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_mapped", itertools.count(1))
+
+    def claims(self, raw):
+        if next(self._mapped) == 3:
+            raise _Boom("map")
+        return super().claims(raw)
+
+
+class _DrawFailsOnThirdSlice:
+    """Stands in for a chunk's Generator; its third draw raises."""
+
+    def __init__(self, seed, chunk_index):
+        self._rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+        self._draws = itertools.count(1)
+
+    def random(self, size=None, out=None):
+        if next(self._draws) == 3:
+            raise _Boom("draw")
+        return self._rng.random(size, out=out)
+
+
+class TestThreadHygiene:
+    """An error on either side of the thread reaches the caller, and the
+    thread is gone when it does."""
+
+    @pytest.fixture(autouse=True)
+    def _no_hang(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def _raises(self, dist, message):
+        before = threading.active_count()
+        with pytest.raises(_Boom, match=message) as caught:
+            mc_walk_suprema(dist, 25, 2 * _SLICE + 100, 3 * _BLOCK, 7)
+        # the traceback still holds the kernel's frame: the thread must be
+        # joined before the error leaves the kernel, not when it is collected
+        assert caught.tb is not None
+        assert threading.active_count() == before
+
+    def test_error_while_mapping(self):
+        self._raises(_MapFailsOnThirdSlice(UNIFORM_40.probabilities), "map")
+
+    def test_error_while_drawing(self, monkeypatch):
+        monkeypatch.setattr(verification, "_chunk_rng", _DrawFailsOnThirdSlice)
+        self._raises(UNIFORM_40, "draw")
+
+    def test_no_thread_left_after_success(self):
+        before = threading.active_count()
+        mc_walk_suprema(UNIFORM_40, 25, 2 * _SLICE + 100, 3 * _BLOCK, 7)
+        assert threading.active_count() == before
 
 
 def _push_tv_loop(dist, kappa, suprema):
