@@ -49,7 +49,7 @@ print(f"route 2 (root products):      phi(0) = {closed[0]:.10f}, phi(1) = {close
 limits = recurrent_sequence_limits(dist, n_max=2000, gap_tol=1e-9)
 print(
     f"route 3 (sequence limits):    phi(0) = {limits.phi0:.10f}, phi(1) = {limits.phi1:.10f}"
-    f"   (stabilised at n = {limits.stopped_at})"
+    f"   (solved at N = {limits.truncated_at}, error <= {limits.error_bound:.1e})"
 )
 
 # a forward recurrence would amplify roundoff like (1/|alpha|)^u ~ 2^u; the

@@ -74,7 +74,7 @@ def render_report(report: RunReport, *, include_timings: bool = True) -> str:
         l = report.sequence_limits
         add(
             f"recurrent-sequence limits: phi(0) ~ {_h(l.phi0)}, phi(1) ~ {_h(l.phi1)} "
-            f"(stopped at n={l.stopped_at})"
+            f"(truncated at N={l.truncated_at}, error <= {_h(l.error_bound)})"
         )
         add("")
     add("checks")

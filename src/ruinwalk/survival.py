@@ -227,18 +227,22 @@ def _one_pole(p: float, q: float, w: np.ndarray) -> np.ndarray:
     """y_j = q y_{j-1} + p w_j with y_{-1} = 0: w convolved with the whole pmf p q^k.
 
     A doubling scan: after the pass with shift k, y_j holds the terms of
-    the lags below 2k, and the pass adds q^k y_{j-k}. Its log2(len(w))
-    passes are elementwise, so y_j depends on w_0..w_j alone, whatever the
-    length of w. Every weight is a power of q <= 1 and every term is
-    non-negative, so nothing cancels, and a nondecreasing w gives a
+    the lags below 2k, and the pass adds q^k y_{j-k}. The passes (at most
+    log2(len(w))) are elementwise, so y_j depends on w_0..w_j alone,
+    whatever the length of w. Every weight is a power of q <= 1 and every
+    term is non-negative, so nothing cancels, and a nondecreasing w gives a
     nondecreasing y in floating point too: each pass adds a nondecreasing
-    non-negative sequence to one. A pass whose q^k underflows to zero would
-    add zeros, so the scan stops there.
+    non-negative sequence to one.
+
+    w must be nondecreasing and non-negative, as every DP row is. Then
+    y_{j-k} <= y_j, so once q^k <= 2^-55 a pass adds less than half an ulp
+    of y_j and changes no bit; the scan stops there. (At 2^-54 a subnormal
+    term could round up to exactly half an ulp, and the tie could round up.)
     """
     y = p * w
     shifted = np.empty_like(y)
     k = 1
-    while k < y.size and q**k > 0.0:
+    while k < y.size and q**k > 2.0**-55:
         np.multiply(y[:-k], q**k, out=shifted[k:])
         y[k:] += shifted[k:]
         k *= 2

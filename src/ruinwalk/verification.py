@@ -11,14 +11,14 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import TRUNC_EPS, ClaimDistribution, check_net_profit
-from .errors import NonConvergence
+from .distributions import TRUNC_EPS, ClaimDistribution, Geometric, check_net_profit
+from .errors import DomainError, NonConvergence
 from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
 
@@ -52,7 +52,8 @@ class StationarityReport:
 class SequenceLimits:
     phi0: float
     phi1: float
-    stopped_at: int
+    truncated_at: int
+    error_bound: float
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -175,11 +176,7 @@ def _all_suprema(
     second thread when more than one CPU is available; pooled chunks already
     occupy the CPUs, so they draw inline.
     """
-    sizes = []
-    remaining = paths
-    while remaining > 0:
-        sizes.append(min(_CHUNK, remaining))
-        remaining -= sizes[-1]
+    sizes = [min(_CHUNK, paths - lo) for lo in range(0, paths, _CHUNK)]
     pooled = workers > 1 and len(sizes) > 1
     threaded = not pooled and len(os.sched_getaffinity(0)) > 1
     tasks = [(dist, kappa, seed, i, n, horizon, threaded) for i, n in enumerate(sizes)]
@@ -188,11 +185,10 @@ def _all_suprema(
     if not pooled:
         results = map(_suprema_task, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_suprema_task, tasks))
-        finally:
-            pool.shutdown()
     for chunk_index, best in results:
         out[offsets[chunk_index] : offsets[chunk_index + 1]] = best
     return out
@@ -290,118 +286,116 @@ def mc_stationarity_distance(
 
 
 def recurrent_sequence_limits(
-    dist: ClaimDistribution,
-    *,
-    n_max: int = 400,
-    gap_tol: float = 1e-8,
+    dist: ClaimDistribution, *, n_max: int = 400, gap_tol: float = 1e-8
 ) -> SequenceLimits:
-    """Survival initial values for premium rate 2 from recurrent sequences.
+    """Survival initial values for premium rate 2, the paper's sequence limits.
 
-    Two fundamental solutions of the order-reducing recurrence are iterated
-    from unit initial data,
-
-        a_0 = 1, a_1 = 0,   a_n = (a_{n-2} - sum_{i=1}^{n-1} x_{n-i} a_i)/x_0,
-
-    (same for b with b_0 = 0, b_1 = 1), and phi(0), phi(1) emerge as limits of
-    determinant ratios. Iteration stops at the first index where both ratio
-    sequences are Cauchy below gap_tol; pushing further only amplifies the
-    cancellation noise of the determinant.
+    phi(0), phi(1) are the limits of determinant ratios of the solutions a, b
+    of a_n = (a_{n-2} - sum_{i=1}^{n-1} x_{n-i} a_i)/x_0 from (a_0, a_1) =
+    (1, 0) and (b_0, b_1) = (0, 1). The ratio at index N is Cramer's rule for
+    the boundary-value problem phi_N = 1 on states N-1 and N, so it is taken
+    from that problem's banded solve (Olver, J. Res. NBS 71B, 1967; Wimp,
+    Computation with Recurrence Relations, 1984), not from the sequences,
+    which grow like |alpha|^-n and cancel. phi_N(u) is the chance of reaching
+    the top before ruin, so 0 <= phi_N(u) - phi(u) <= phi_N(u) rho^-(N-1)
+    (Lundberg; rho the root > 1 of G_X(s) = s^2), plus the solve's roundoff.
+    N is the first index with rho^-(N-1) <= 2^-52, at most n_max; the bound
+    there must not exceed gap_tol, or NonConvergence is raised.
     """
     if dist.pmf(0) <= 0.0:
         raise ValueError("recurrent sequences need positive mass at zero")
-    mean = dist.mean()
-    if mean >= 2.0:
+    if dist.mean() >= 2.0:
         raise ValueError("recurrent-sequence limits require the net profit condition at kappa=2")
-    # Two separate precision hazards meet here: the sequences grow like the
-    # reciprocal of the smallest unit-disk root, and the determinant cancels
-    # quadratically in that growth, so float64 (and even float80) runs out of
-    # mantissa long before slow models converge. Multi-precision floating
-    # point with digits scaled to the growth keeps the determinant resolvable;
-    # precision doubles and retries if a plateau cannot be certified.
-    growth = _sequence_growth_estimate(dist)
-    digits = int(n_max * math.log10(growth)) + 40
-    for _attempt in range(3):
-        result = _sequence_limits_at_precision(dist, n_max, gap_tol, digits)
-        if result is not None:
-            return result
-        digits *= 2
-    raise NonConvergence(
-        f"ratio sequences failed to stabilise below {gap_tol:g} within {n_max} terms"
-    )
+    rho = _outside_root(dist, 2)
+    steps = 52.0 * math.log(2.0) / math.log(rho) if rho > 1.0 else math.inf
+    n = max(2, math.ceil(min(n_max, 1 + steps)))
+    phi, roundoff = _boundary_value_solve(dist, 2, n)
+    bound = float(np.max(phi[:2] * rho ** -(n - 1) + roundoff[:2]))
+    if bound > gap_tol:
+        raise NonConvergence(f"sequence limits bounded to {bound:.3g} at N={n} > {gap_tol:g}")
+    return SequenceLimits(phi0=float(phi[0]), phi1=float(phi[1]), truncated_at=n, error_bound=bound)
 
 
-def _sequence_growth_estimate(dist: ClaimDistribution) -> float:
-    """Cheap float64 estimate of the dominant growth rate of the sequences."""
-    x0 = dist.pmf(0)
-    a = [1.0, 0.0]
-    n = 1
-    while n < 120 and abs(a[-1]) < 1e120:
-        n += 1
-        sa = sum(dist.pmf(n - i) * a[i] for i in range(1, n))
-        a.append((a[n - 2] - sa) / x0)
-    top = max(abs(v) for v in a if v != 0.0)
-    return max(1.5, top ** (1.0 / max(n, 1)))
+def _outside_root(dist: ClaimDistribution, kappa: int) -> float:
+    """Lower end of a bisection bracket of the root rho > 1 of G_X(s) = s^kappa
+    (below rho, G_X(s) < s^kappa); inf when no claim exceeds kappa."""
+    if (maxs := dist.max_support()) is not None and maxs <= kappa:
+        return math.inf
+
+    def past(s: float) -> bool:
+        try:
+            return dist.pgf(s).real > s**kappa
+        except DomainError:  # beyond the pgf's radius of convergence
+            return True
+
+    lo, hi = 1.0, 2.0
+    while not past(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return lo
 
 
-def _sequence_limits_at_precision(dist, n_max: int, gap_tol: float, digits: int):
-    import mpmath as mp
+def _boundary_value_solve(dist: ClaimDistribution, kappa: int, n: int):
+    """phi_n(0..n), with phi_n = 1 on the top kappa states, and its roundoff bound.
 
-    from .distributions import Geometric
+    The band is a diagonally dominant M-matrix A: no pivoting is needed, and
+    A^-1 >= 0 bounds the error by max|r| A^-1 1, r the residual plus its rounding.
+    """
+    ab, lower, b = _recurrence_band(dist, kappa, n - kappa)
+    z, reach = _solve_band(ab, lower, (b, np.ones(b.size)))
+    padded = np.concatenate((np.zeros(lower), z, np.zeros(kappa)))
+    window = np.lib.stride_tricks.sliding_window_view(padded, ab.shape[1])
+    slack = np.abs(b - (ab * window).sum(axis=1))
+    slack += (ab.shape[1] + 2) * np.finfo(float).eps * ((np.abs(ab) * window).sum(axis=1) + b)
+    top = np.zeros(kappa)
+    return np.concatenate((z, top + 1.0)), np.concatenate((slack.max() * reach, top))
 
-    confirm_window = 8
-    with mp.workdps(digits):
-        x0 = mp.mpf(dist.pmf(0))
-        a = [mp.mpf(1), mp.mpf(0)]
-        b = [mp.mpf(0), mp.mpf(1)]
-        geom = isinstance(dist, Geometric)
-        if geom:
-            q = mp.mpf(dist.q)
-            p = mp.mpf(dist.p)
-            ha = mp.mpf(0)  # sum_{i<n} q^(n-i) a_i, updated by one telescoping step
-            hb = mp.mpf(0)
-        cancel_floor = mp.mpf(10) ** (-(digits - 10))
-        candidate = None
-        confirmed = 0
-        prev0 = prev1 = None
-        for n in range(2, n_max + 1):
-            if geom:
-                ha = q * (ha + a[n - 1])
-                hb = q * (hb + b[n - 1])
-                sa = p * ha
-                sb = p * hb
-            else:
-                sa = mp.fsum(mp.mpf(dist.pmf(n - i)) * a[i] for i in range(1, n))
-                sb = mp.fsum(mp.mpf(dist.pmf(n - i)) * b[i] for i in range(1, n))
-            a.append((a[n - 2] - sa) / x0)
-            b.append((b[n - 2] - sb) / x0)
-            det = a[n - 1] * b[n] - b[n - 1] * a[n]
-            if det == 0:
-                return None  # determinant lost to cancellation; retry with more digits
-            scale = abs(a[n - 1] * b[n]) + abs(b[n - 1] * a[n])
-            if scale > 0 and abs(det) / scale < cancel_floor:
-                return None
-            est0 = float((b[n] - b[n - 1]) / det)
-            est1 = float((a[n - 1] - a[n]) / det)
-            if prev0 is not None:
-                gap = max(abs(est0 - prev0), abs(est1 - prev1))
-                plausible = -1e-6 <= est0 <= 1 + 1e-6 and -1e-6 <= est1 <= 1 + 1e-6
-                if candidate is None and gap < gap_tol and plausible:
-                    candidate = (est0, est1, n)
-                    confirmed = 0
-                elif candidate is not None:
-                    if abs(est0 - candidate[0]) < 10 * gap_tol and abs(est1 - candidate[1]) < 10 * gap_tol:
-                        confirmed += 1
-                        if confirmed >= confirm_window:
-                            return SequenceLimits(
-                                phi0=candidate[0],
-                                phi1=candidate[1],
-                                stopped_at=candidate[2],
-                            )
-                    else:
-                        candidate = None
-                        confirmed = 0
-            prev0, prev1 = est0, est1
-    return None
+
+def _recurrence_band(dist: ClaimDistribution, kappa: int, m: int):
+    """Rows phi(u) - sum_{v=1}^{u+kappa} x_{u+kappa-v} phi(v) = b_u, u <= m, as
+    (ab, lower, b): `ab[u, c - u + lower]` is the coefficient of phi(c), b_u the
+    terms of the states v > m, where phi = 1. A geometric row u >= 1 minus q
+    times row u-1 is phi(u) - q phi(u-1) - p phi(u+kappa)."""
+    if isinstance(dist, Geometric):
+        lower = 1
+        ab = np.tile(np.r_[-dist.q, 1.0, np.zeros(kappa - 1), -dist.p], (m + 1, 1))
+        ab[0, 2:] = -dist.p * dist.q ** np.arange(kappa - 1, -1, -1)
+    else:
+        x, _tail = dist.truncate(TRUNC_EPS)
+        lower = max(x.size - 1 - kappa, 0)
+        ab = np.tile(-np.r_[x, np.zeros(lower + kappa + 1 - x.size)][::-1], (m + 1, 1))
+        ab[np.arange(m + 1)[:, None] + np.arange(lower + kappa + 1) <= lower] = 0.0  # ruin
+        ab[:, lower] += 1.0
+    columns = np.arange(m + 1)[:, None] + np.arange(ab.shape[1]) - lower
+    b = -np.where(columns > m, ab, 0.0).sum(axis=1)
+    ab[columns > m] = 0.0
+    return ab, lower, b
+
+
+def _solve_band(ab: np.ndarray, lower: int, rhs) -> list[np.ndarray]:
+    """A^-1 y for each y in `rhs`, A given by its band `ab[u, c - u + lower]`.
+
+    Elimination without pivoting, then back substitution, in plain Python:
+    at a few entries per row, a numpy call costs more than the arithmetic.
+    """
+    n, width = ab.shape
+    rows, ys = ab.tolist(), [y.tolist() for y in rhs]
+    for k, row in enumerate(rows):
+        for d in range(1, min(lower, n - 1 - k) + 1):  # row k + d holds column k at lower - d
+            below = rows[k + d]
+            f = below[lower - d] / row[lower]
+            for e in range(lower + 1, width):
+                below[e - d] -= f * row[e]
+            for y in ys:
+                y[k + d] -= f * y[k]
+    for x in ys:
+        x += [0.0] * (width - 1 - lower)
+        for k in range(n - 1, -1, -1):
+            for e in range(lower + 1, width):
+                x[k] -= rows[k][e] * x[k + e - lower]
+            x[k] /= rows[k][lower]
+    return [np.array(x[:n]) for x in ys]
 
 
 def stationarity_identity_residual(

@@ -522,11 +522,11 @@ class TestRendering:
 
     # the same for a --verify run, Monte Carlo and sequence limits included
     VERIFY_DIGESTS = {
-        "report.txt": "b5a11bfb1d2fa5b8d380c39dcffe95b99b54f4e2fac8f4a6da96d0cdc4b758b8",
+        "report.txt": "971411a4ffda760cf4df07e8f2491ca3a08742b720bb51e143b2033caa80f089",
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-        "verification.csv": "41006440890954796f8dd2398e57f226e057f085a161d17021063246bc98dc3e",
+        "verification.csv": "015e41f7561d32def2e8ab811b282bcb964560afda18a64847334d275f5e83f2",
     }
 
     def test_verify_output_digests(self, tmp_path):

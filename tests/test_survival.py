@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruinwalk.charpoly import RootSet, build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import TRUNC_EPS, FinitePmf, Geometric
@@ -7,6 +9,7 @@ from ruinwalk.errors import NearPole, UnsupportedKappa
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
 from ruinwalk.survival import (
     _claim_filter,
+    _one_pole,
     closed_form_initial_values,
     enumerate_finite_time,
     extend_sup_pmf_stable,
@@ -464,3 +467,54 @@ class TestFiniteTime:
         with_zero = variant + x[0] * grid.value(u + kappa, t - 1)
         assert abs(with_zero - exact) <= 1e-10
         assert abs(variant - exact) > 1e-3
+
+
+def _full_one_pole(p, q, w):
+    """`_one_pole` without the early stop: every pass until q^k underflows."""
+    y = p * w
+    k = 1
+    while k < y.size and q**k > 0.0:
+        y[k:] += y[:-k] * q**k
+        k *= 2
+    return y
+
+
+# zeros, subnormals, tiny normals and probabilities
+_ROW_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.0**-1022),
+    st.floats(2.0**-1022, 2.0**-960),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestOnePoleEarlyStop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        values=st.lists(_ROW_VALUES, min_size=1, max_size=300),
+    )
+    # a subnormal term rounds up to half an ulp of y here, a tie that rounds
+    # up, so the early stop at q^k <= 2^-54 changes bits and 2^-55 does not
+    @example(
+        q=float.fromhex("0x1.1d487312cfb3cp-1"),
+        values=[float.fromhex("0x1.fffffbc11088fp-1000")] * 100,
+    )
+    def test_matches_full_scan_bit_for_bit(self, q, values):
+        w = np.sort(np.array(values))
+        got = _one_pole(1.0 - q, q, w)
+        assert got.tobytes() == _full_one_pole(1.0 - q, q, w).tobytes()
+
+    @pytest.mark.parametrize("p, passes", [(GEOMETRIC_P, 7), (0.03, 11)])
+    def test_pass_count(self, monkeypatch, p, passes):
+        # the capped DP of geom_k2 / geom_k3 (cap 4097) and of geom_k50 (cap 1601)
+        calls = []
+        multiply = np.multiply
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", counted)
+        _one_pole(p, 1.0 - p, np.ones(4097))
+        assert len(calls) == passes

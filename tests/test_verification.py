@@ -1,3 +1,4 @@
+import concurrent.futures
 import faulthandler
 import hashlib
 import itertools
@@ -11,16 +12,25 @@ from hypothesis import strategies as st
 
 from ruinwalk import verification
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
+from ruinwalk.config import ModelConfig
 from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.errors import NetProfitViolation, NonConvergence
-from ruinwalk.supremum import build_boundary_system, solve_boundary_system
-from ruinwalk.survival import extend_sup_pmf_stable, ultimate_survival_table
+from ruinwalk.pipeline import run_model
+from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
+from ruinwalk.survival import (
+    closed_form_initial_values,
+    extend_sup_pmf_stable,
+    survival_gf_coefficients,
+    ultimate_survival_table,
+)
 from ruinwalk.verification import (
     IDENTITY_POINTS,
     _BLOCK,
     _CHUNK,
     _SLICE,
+    _boundary_value_solve,
     _chunk_rng,
+    _outside_root,
     mc_stationarity_distance,
     mc_survival,
     mc_walk_suprema,
@@ -195,7 +205,7 @@ class TestPipelinedKernel:
         assert len(started) == threads
         # pooled chunks draw inline, whatever the CPU count; the pool runs
         # them here so that the count sees them
-        monkeypatch.setattr(verification, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         started.clear()
         mc_walk_suprema(UNIFORM_40, 25, _CHUNK + 10, 2, 4, workers=2)
         assert started == []
@@ -205,11 +215,14 @@ class _InlinePool:
     def __init__(self, max_workers):
         pass
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
     def map(self, fn, tasks):
         return map(fn, tasks)
-
-    def shutdown(self):
-        pass
 
 
 class _Boom(RuntimeError):
@@ -338,6 +351,22 @@ class TestStationarity:
         assert 1.5 <= ratio <= 3.0  # ~sqrt(4) with sampling slack
 
 
+def _boundary_value_error(dist, kappa, char, roots, count):
+    """|phi_N - phi| against the root-product table on the first `count`
+    states (fewer when N is smaller), and Lundberg's truncation bound plus
+    the solve's roundoff bound there; N is the first index where
+    rho^-(N-kappa+1) <= 2^-52."""
+    phi0 = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)[0]
+    table = np.r_[phi0, survival_gf_coefficients(dist, char, count - 1, roots=roots)[:-1]]
+    rho = _outside_root(dist, kappa)
+    steps = 52 * np.log(2) / np.log(rho) if rho > 1.0 else np.inf
+    n = max(kappa, int(np.ceil(min(10_000, kappa - 1 + steps))))
+    phi, roundoff = _boundary_value_solve(dist, kappa, n)
+    size = min(count, n + 1)
+    bound = phi[:size] * rho ** -(n - kappa + 1) + roundoff[:size]
+    return np.abs(phi[:size] - table[:size]), bound
+
+
 class TestSequenceLimits:
     def test_geometric_kappa2_reference_values(self, geometric):
         lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
@@ -375,6 +404,76 @@ class TestSequenceLimits:
         lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
         assert abs(lim.phi0 - table.phi[0]) <= 1e-6
         assert abs(lim.phi1 - table.phi[1]) <= 1e-6
+
+    @pytest.mark.parametrize("n_max", [2000, 4000])
+    def test_exact_geometric_values_within_bound(self, geometric, n_max):
+        lim = recurrent_sequence_limits(geometric, n_max=n_max, gap_tol=1e-9)
+        err = max(abs(lim.phi0 - PHI0_EXACT_K2), abs(lim.phi1 - PHI1_EXACT_K2))
+        assert err <= lim.error_bound <= 1e-9
+        if n_max == 4000:
+            # rho^-(N-1) <= 2^-52 first holds at N = 3612
+            assert lim.truncated_at == 3612
+            assert err <= 1e-12
+
+    def test_equals_paper_determinant_ratio(self, geometric):
+        import mpmath as mp
+
+        n = 40
+        with mp.workdps(60):
+            x = [mp.mpf(geometric.pmf(k)) for k in range(n + 1)]
+            a = [mp.mpf(1), mp.mpf(0)]
+            b = [mp.mpf(0), mp.mpf(1)]
+            for k in range(2, n + 1):
+                a.append((a[k - 2] - mp.fsum(x[k - i] * a[i] for i in range(1, k))) / x[0])
+                b.append((b[k - 2] - mp.fsum(x[k - i] * b[i] for i in range(1, k))) / x[0])
+            det = a[n - 1] * b[n] - b[n - 1] * a[n]
+            ratio = [float((b[n] - b[n - 1]) / det), float((a[n - 1] - a[n]) / det)]
+        phi, _roundoff = _boundary_value_solve(geometric, 2, n)
+        np.testing.assert_allclose(phi[:2], ratio, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist, kappa",
+        [
+            (FinitePmf((0.3, 0.2, 0.1, 0.15, 0.25)), 2),
+            (FinitePmf((0.2, 0.2, 0.2, 0.2, 0.1, 0.1)), 3),
+            (Geometric(GEOMETRIC_P), 3),
+        ],
+        ids=["finite_k2", "finite_k3", "geometric_k3"],
+    )
+    def test_matches_root_product_table(self, dist, kappa):
+        char, roots, _sup = solve_model(dist, kappa)
+        err, bound = _boundary_value_error(dist, kappa, char, roots, 20)
+        assert np.max(err) <= 1e-12
+        # up to the root-product route's own error
+        assert np.all(err <= bound + 1e-14)
+
+    def test_corpus_within_error_bound(self, random_models):
+        for dist, kappa, roots, char in random_models:
+            err, bound = _boundary_value_error(dist, kappa, char, roots, 10)
+            assert np.all(err <= bound + 1e-14), (dist, kappa)
+
+    def test_bernoulli_needs_no_truncation(self, bernoulli):
+        # no claim exceeds kappa = 2, so the walk never rises and phi_2 is exact
+        assert _outside_root(bernoulli, 2) == np.inf
+        lim = recurrent_sequence_limits(bernoulli)
+        assert lim.truncated_at == 2
+        assert lim.error_bound <= 1e-14
+
+    def test_wrong_boundary_fails_the_check(self, monkeypatch, geometric):
+        # b holds the top states' phi = 1; zeroing it puts phi = 0 there
+        band = verification._recurrence_band
+
+        def top_zero(dist, kappa, m):
+            ab, lower, b = band(dist, kappa, m)
+            return ab, lower, 0.0 * b
+
+        monkeypatch.setattr(verification, "_recurrence_band", top_zero)
+        config = ModelConfig(
+            kappa=2, dist=geometric, u_max=10, t_max=10, mc_paths=1024, mc_horizon=100, seed=1
+        )
+        checks = {c.name: c for c in run_model(config, verify=True).checks}
+        assert not checks["sequence_limits_agreement"].passed
+        assert all(c.passed for name, c in checks.items() if name != "sequence_limits_agreement")
 
 
 class TestIdentityResidual:
