@@ -46,7 +46,7 @@ print(f"route 1 (linear system):      phi(0) = {table.phi[0]:.10f}, phi(1) = {ta
 closed = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)
 print(f"route 2 (root products):      phi(0) = {closed[0]:.10f}, phi(1) = {closed[1]:.10f}")
 
-limits = recurrent_sequence_limits(dist, n_max=2000, gap_tol=1e-9)
+limits = recurrent_sequence_limits(dist)
 print(
     f"route 3 (sequence limits):    phi(0) = {limits.phi0:.10f}, phi(1) = {limits.phi1:.10f}"
     f"   (solved at N = {limits.truncated_at}, error <= {limits.error_bound:.1e})"

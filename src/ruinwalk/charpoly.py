@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import ClaimDistribution, FinitePmf, Geometric
+from .distributions import ClaimDistribution, FinitePmf
 from .errors import (
     AmbiguousCluster,
     ConvergenceFailure,
@@ -136,26 +136,17 @@ def reduce_support(dist: ClaimDistribution, kappa: int):
 def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
     """Polynomial Q with Q(s) = 0 iff s^kappa = G_X(s), with exact coefficients.
 
-    Finite pmf: Q(s) = s^kappa - sum_i x_i s^i.
-    Geometric:  Q(s) = s^kappa (1 - (1-p) s) - p, multiplying through by the
-    pgf denominator g(s) = 1 - (1-p) s; degree kappa+1, no truncation error.
-    The extra factor introduces no spurious root inside the closed disk (its
-    would-be zero 1/(1-p) > 1 is not a root of Q).
+    With the pgf ratio G_X = A / g, Q(s) = s^kappa g(s) - A(s), with no
+    truncation error. The geometric g(s) = 1 - (1-p) s adds no root in the
+    closed disk: its zero 1/(1-p) > 1 is not a root of Q.
     """
     if dist.pmf(0) <= 0.0:
         raise ValueError("build_characteristic requires positive mass at zero; reduce support first")
-    if isinstance(dist, Geometric):
-        coeffs = np.zeros(kappa + 2)
-        coeffs[0] = -dist.p
-        coeffs[kappa] = 1.0
-        coeffs[kappa + 1] = -dist.q
-        return CharPolynomial(coeffs, kappa, np.array([1.0, -dist.q]))
-    pmf = np.asarray(dist.probabilities, dtype=float)
-    n = max(kappa, pmf.size - 1)
-    coeffs = np.zeros(n + 1)
-    coeffs[: pmf.size] = -pmf
-    coeffs[kappa] += 1.0
-    return CharPolynomial(coeffs, kappa, np.ones(1))
+    a, g = dist.pgf_ratio()
+    coeffs = np.zeros(max(kappa + g.size, a.size))
+    coeffs[: a.size] = -a
+    coeffs[kappa : kappa + g.size] += g
+    return CharPolynomial(coeffs, kappa, g)
 
 
 def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:

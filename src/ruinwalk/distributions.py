@@ -42,6 +42,10 @@ class ClaimDistribution:
     def pgf(self, s: complex) -> complex:
         raise NotImplementedError
 
+    def pgf_ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        """Polynomials (A, g), lowest degree first, with G_X = A / g and g(0) = 1."""
+        raise NotImplementedError
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -93,10 +97,6 @@ class FinitePmf(ClaimDistribution):
         object.__setattr__(self, "_mean", float(np.arange(p.size) @ p))
         object.__setattr__(self, "_guide", None)
 
-    @property
-    def kind(self) -> str:
-        return "finite"
-
     def pmf(self, k: int) -> float:
         if k < 0 or k >= self._p.size:
             return 0.0
@@ -111,6 +111,9 @@ class FinitePmf(ClaimDistribution):
 
     def pgf(self, s: complex) -> complex:
         return complex(np.polynomial.polynomial.polyval(s, self._p))
+
+    def pgf_ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._p.copy(), np.ones(1)
 
     def mean(self) -> float:
         return self._mean
@@ -207,10 +210,6 @@ class Geometric(ClaimDistribution):
             raise ConfigError(f"geometric parameter must lie in (0, 1), got {self.p!r}")
 
     @property
-    def kind(self) -> str:
-        return "geometric"
-
-    @property
     def q(self) -> float:
         return 1.0 - self.p
 
@@ -230,6 +229,9 @@ class Geometric(ClaimDistribution):
                 f"geometric pgf diverges for |s| >= {1.0 / self.q:.6g}, got |s| = {abs(s):.6g}"
             )
         return self.p / (1.0 - self.q * s)
+
+    def pgf_ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self.p]), np.array([1.0, -self.q])
 
     def mean(self) -> float:
         return self.q / self.p

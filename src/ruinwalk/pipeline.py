@@ -325,7 +325,7 @@ def _run_verification(
 
     if kappa == 2 and dist.pmf(0) > 0.0:
         t = time.perf_counter()
-        lim = recurrent_sequence_limits(dist, n_max=2000, gap_tol=1e-9)
+        lim = recurrent_sequence_limits(dist)
         report.sequence_limits = lim
         # a table with u_max = 0 holds phi(0) only
         err = max(abs(v - phi[u]) for u, v in enumerate((lim.phi0, lim.phi1)[: phi.size]))

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .charpoly import CharPolynomial, RootSet, reduce_support
-from .distributions import TRUNC_EPS, ClaimDistribution, Geometric
+from .distributions import ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
 from .supremum import TOL_REAL, SupremumPmf, root_product, sup_pgf_masses
 
@@ -223,42 +223,46 @@ def extend_sup_pmf_stable(
         n *= 2
 
 
-def _one_pole(p: float, q: float, w: np.ndarray) -> np.ndarray:
-    """y_j = q y_{j-1} + p w_j with y_{-1} = 0: w convolved with the whole pmf p q^k.
+def _one_pole(q: float, y: np.ndarray) -> None:
+    """y_j <- y_j + q y_{j-1}, in place from j = 1 up: y convolved with q^k.
 
     A doubling scan: after the pass with shift k, y_j holds the terms of
     the lags below 2k, and the pass adds q^k y_{j-k}. The passes (at most
-    log2(len(w))) are elementwise, so y_j depends on w_0..w_j alone,
-    whatever the length of w. Every weight is a power of q <= 1 and every
-    term is non-negative, so nothing cancels, and a nondecreasing w gives a
-    nondecreasing y in floating point too: each pass adds a nondecreasing
+    log2(len(y))) are elementwise, so y_j depends on y_0..y_j alone,
+    whatever the length of y. Every weight is a power of q <= 1 and every
+    term is non-negative, so nothing cancels, and a nondecreasing y stays
+    nondecreasing in floating point too: each pass adds a nondecreasing
     non-negative sequence to one.
 
-    w must be nondecreasing and non-negative, as every DP row is. Then
-    y_{j-k} <= y_j, so once q^k <= 2^-55 a pass adds less than half an ulp
-    of y_j and changes no bit; the scan stops there. (At 2^-54 a subnormal
+    y must be nondecreasing and non-negative, as a DP row convolved with A
+    is. Then y_{j-k} <= y_j, so once q^k <= 2^-55 a pass adds less than half an
+    ulp of y_j and changes no bit; the scan stops there. (At 2^-54 a subnormal
     term could round up to exactly half an ulp, and the tie could round up.)
     """
-    y = p * w
     shifted = np.empty_like(y)
     k = 1
     while k < y.size and q**k > 2.0**-55:
         np.multiply(y[:-k], q**k, out=shifted[k:])
         y[k:] += shifted[k:]
         k *= 2
-    return y
 
 
 def _claim_filter(dist: ClaimDistribution):
-    """w -> x * w for the claim pmf x, exact in its first w.size entries.
+    """w -> x * w for the claim law x = A / g, exact in its first w.size entries.
 
-    A geometric law runs as its one-pole recursion, with no truncation; a
-    finite pmf is one np.convolve.
+    One np.convolve by A, then the pole of g = 1 - q s as `_one_pole`, so
+    an unbounded law runs with no truncation.
     """
-    if isinstance(dist, Geometric):
-        return lambda w: _one_pole(dist.p, dist.q, w)
-    x, _tail = dist.truncate(TRUNC_EPS)
-    return lambda w: np.convolve(x, w)
+    a, g = dist.pgf_ratio()
+    assert g.size <= 2, "the DP step runs at most one pole"
+
+    def step(w: np.ndarray) -> np.ndarray:
+        y = np.convolve(a, w)
+        if g.size == 2:
+            _one_pole(-g[1], y)
+        return y
+
+    return step
 
 
 def finite_time_grid(
@@ -281,7 +285,7 @@ def finite_time_grid(
     Step t computes only the states u <= u_max + kappa*(t_max - t) that the
     remaining steps can still reach from u_max. A step reads at most kappa
     states past the previous step's last one, so kappa padding states
-    suffice. The step's convolution with the claim pmf is `_claim_filter`.
+    suffice. The step's convolution with the claim law is `_claim_filter`.
     """
     if state_cap is None:
         length = u_max + kappa * t_max

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .distributions import TRUNC_EPS, ClaimDistribution, Geometric, check_net_profit
+from .distributions import TRUNC_EPS, ClaimDistribution, check_net_profit
 from .errors import DomainError, NonConvergence
 from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
@@ -286,7 +286,7 @@ def mc_stationarity_distance(
 
 
 def recurrent_sequence_limits(
-    dist: ClaimDistribution, *, n_max: int = 400, gap_tol: float = 1e-8
+    dist: ClaimDistribution, *, n_max: int = 2000, gap_tol: float = 1e-9
 ) -> SequenceLimits:
     """Survival initial values for premium rate 2, the paper's sequence limits.
 
@@ -299,8 +299,10 @@ def recurrent_sequence_limits(
     which grow like |alpha|^-n and cancel. phi_N(u) is the chance of reaching
     the top before ruin, so 0 <= phi_N(u) - phi(u) <= phi_N(u) rho^-(N-1)
     (Lundberg; rho the root > 1 of G_X(s) = s^2), plus the solve's roundoff.
-    N is the first index with rho^-(N-1) <= 2^-52, at most n_max; the bound
-    there must not exceed gap_tol, or NonConvergence is raised.
+    N is the first index with rho^-(N-1) <= 2^-52, at most n_max (the roundoff
+    grows with the expected exit time A^-1 1, and for the geometric law
+    p = 101/300 it outweighs the truncation past N ~ 3000); the bound there
+    must not exceed gap_tol, or NonConvergence is raised.
     """
     if dist.pmf(0) <= 0.0:
         raise ValueError("recurrent sequences need positive mass at zero")
@@ -355,19 +357,20 @@ def _boundary_value_solve(dist: ClaimDistribution, kappa: int, n: int):
 def _recurrence_band(dist: ClaimDistribution, kappa: int, m: int):
     """Rows phi(u) - sum_{v=1}^{u+kappa} x_{u+kappa-v} phi(v) = b_u, u <= m, as
     (ab, lower, b): `ab[u, c - u + lower]` is the coefficient of phi(c), b_u the
-    terms of the states v > m, where phi = 1. A geometric row u >= 1 minus q
-    times row u-1 is phi(u) - q phi(u-1) - p phi(u+kappa)."""
-    if isinstance(dist, Geometric):
-        lower = 1
-        ab = np.tile(np.r_[-dist.q, 1.0, np.zeros(kappa - 1), -dist.p], (m + 1, 1))
-        ab[0, 2:] = -dist.p * dist.q ** np.arange(kappa - 1, -1, -1)
-    else:
-        x, _tail = dist.truncate(TRUNC_EPS)
-        lower = max(x.size - 1 - kappa, 0)
-        ab = np.tile(-np.r_[x, np.zeros(lower + kappa + 1 - x.size)][::-1], (m + 1, 1))
-        ab[np.arange(m + 1)[:, None] + np.arange(lower + kappa + 1) <= lower] = 0.0  # ruin
-        ab[:, lower] += 1.0
-    columns = np.arange(m + 1)[:, None] + np.arange(ab.shape[1]) - lower
+    terms of the states v > m, where phi = 1. With the pgf ratio x = A / g, row
+    u >= deg g is sum_j g_j row_{u-j}, that is sum_j g_j phi(u-j) -
+    sum_{v>=1} A_{u+kappa-v} phi(v); the rows below deg g read x itself."""
+    a, g = dist.pgf_ratio()
+    lower = max(g.size - 1, a.size - 1 - kappa)
+    width = lower + kappa + 1
+    ab = np.tile(-np.r_[a, np.zeros(width - a.size)][::-1], (m + 1, 1))
+    columns = np.arange(m + 1)[:, None] + np.arange(width) - lower
+    ab[columns <= 0] = 0.0  # ruin
+    ab[:, lower - np.arange(g.size)] += g
+    x = np.r_[dist.truncate(TRUNC_EPS)[0], np.zeros(width)]
+    for u in range(min(g.size - 1, m + 1)):
+        ab[u, lower - u :] = np.r_[0.0, -x[u + kappa - 1 :: -1]]
+        ab[u, lower] += 1.0
     b = -np.where(columns > m, ab, 0.0).sum(axis=1)
     ab[columns > m] = 0.0
     return ab, lower, b

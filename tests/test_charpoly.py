@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ruinwalk.charpoly as charpoly
 from ruinwalk.charpoly import (
@@ -64,6 +66,50 @@ class TestBuildCharacteristic:
     def test_requires_mass_at_zero(self):
         with pytest.raises(ValueError):
             build_characteristic(FinitePmf((0.0, 1.0)), 2)
+
+
+def _branch_per_law_characteristic(dist, kappa):
+    """(coeffs, g) with one branch per law class: the reference that the
+    pgf-ratio path of `build_characteristic` matches bit for bit."""
+    if isinstance(dist, Geometric):
+        coeffs = np.zeros(kappa + 2)
+        coeffs[0] = -dist.p
+        coeffs[kappa] = 1.0
+        coeffs[kappa + 1] = -dist.q
+        return coeffs, np.array([1.0, -dist.q])
+    pmf = np.asarray(dist.probabilities, dtype=float)
+    n = max(kappa, pmf.size - 1)
+    coeffs = np.zeros(n + 1)
+    coeffs[: pmf.size] = -pmf
+    coeffs[kappa] += 1.0
+    return coeffs, np.ones(1)
+
+
+def _assert_matches_branch_per_law(dist, kappa):
+    char = build_characteristic(dist, kappa)
+    coeffs, g = _branch_per_law_characteristic(dist, kappa)
+    assert char.coeffs.tobytes() == coeffs.tobytes()
+    assert char.g.tobytes() == g.tobytes()
+
+
+class TestPgfRatioPath:
+    @pytest.mark.parametrize("law", ["bernoulli", "geometric", "double_root_dist", "shifted_dist"])
+    @pytest.mark.parametrize("kappa", [2, 3, 5, 50])
+    def test_fixture_laws(self, request, law, kappa):
+        dist, kappa, _shift = reduce_support(request.getfixturevalue(law), kappa)
+        _assert_matches_branch_per_law(dist, kappa)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        head=st.floats(1e-3, 1.0),
+        tail=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=12),
+        p=st.floats(0.01, 0.99),
+        kappa=st.integers(1, 12),
+    )
+    def test_sampled_laws(self, head, tail, p, kappa):
+        weights = np.array([head, *tail])
+        _assert_matches_branch_per_law(FinitePmf(tuple(weights / weights.sum())), kappa)
+        _assert_matches_branch_per_law(Geometric(p), kappa)
 
 
 class TestDeflation:

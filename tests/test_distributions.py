@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruinwalk.distributions import (
+    TRUNC_EPS,
     FinitePmf,
     Geometric,
     NetProfitStatus,
@@ -14,6 +15,7 @@ from ruinwalk.distributions import (
     lattice_span,
 )
 from ruinwalk.errors import ConfigError, DomainError, NetProfitViolation
+from ruinwalk.survival import _claim_filter
 
 
 class TestPmf:
@@ -88,6 +90,38 @@ class TestPgf:
                 s /= abs(s) * 1.0001
             series = np.polynomial.polynomial.polyval(s, pmf)
             assert abs(d.pgf(s) - series) <= tail + 1e-13
+
+
+# geometric laws, and finite pmfs with zeros anywhere in their support
+_LAWS = st.one_of(
+    st.floats(0.01, 0.99).map(Geometric),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=12)
+    .filter(lambda w: sum(w) > 1e-3)
+    .map(lambda w: FinitePmf(tuple(np.array(w) / np.sum(w)))),
+)
+
+
+class TestPgfRatio:
+    @settings(max_examples=200, deadline=None)
+    @given(dist=_LAWS, r=st.floats(0.0, 0.9), theta=st.floats(0.0, 2.0 * math.pi))
+    def test_ratio_is_the_pgf(self, dist, r, theta):
+        a, g = dist.pgf_ratio()
+        assert g[0] == 1.0
+        s = r * complex(math.cos(theta), math.sin(theta))
+        ratio = np.polynomial.polynomial.polyval(s, a) / np.polynomial.polynomial.polyval(s, g)
+        assert ratio == pytest.approx(dist.pgf(s), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dist=_LAWS)
+    def test_claim_filter_impulse_response_is_the_pmf(self, dist):
+        # the DP step reads the law only through A / g; an impulse is not a
+        # DP row, but the one-pole scan's early stop (q^k <= 2^-55) drops
+        # only lags past the truncated pmf
+        x, _tail = dist.truncate(TRUNC_EPS)
+        impulse = np.zeros(x.size)
+        impulse[0] = 1.0
+        response = _claim_filter(dist)(impulse)[: x.size]
+        np.testing.assert_allclose(response, x, rtol=1e-14, atol=0.0)
 
 
 class TestMean:

@@ -502,7 +502,8 @@ class TestOnePoleEarlyStop:
     )
     def test_matches_full_scan_bit_for_bit(self, q, values):
         w = np.sort(np.array(values))
-        got = _one_pole(1.0 - q, q, w)
+        got = (1.0 - q) * w
+        _one_pole(q, got)
         assert got.tobytes() == _full_one_pole(1.0 - q, q, w).tobytes()
 
     @pytest.mark.parametrize("p, passes", [(GEOMETRIC_P, 7), (0.03, 11)])
@@ -516,5 +517,5 @@ class TestOnePoleEarlyStop:
             return multiply(*args, **kwargs)
 
         monkeypatch.setattr(np, "multiply", counted)
-        _one_pole(p, 1.0 - p, np.ones(4097))
+        _one_pole(1.0 - p, p * np.ones(4097))
         assert len(calls) == passes

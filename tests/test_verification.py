@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ruinwalk import verification
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.config import ModelConfig
-from ruinwalk.distributions import FinitePmf, Geometric
+from ruinwalk.distributions import TRUNC_EPS, FinitePmf, Geometric
 from ruinwalk.errors import NetProfitViolation, NonConvergence
 from ruinwalk.pipeline import run_model
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
@@ -382,6 +382,11 @@ class TestSequenceLimits:
         with pytest.raises(ValueError):
             recurrent_sequence_limits(shifted_dist)
 
+    def test_defaults_are_criterion_2s(self, geometric):
+        assert recurrent_sequence_limits(geometric) == recurrent_sequence_limits(
+            geometric, n_max=2000, gap_tol=1e-9
+        )
+
     def test_nonconvergence_when_budget_too_small(self, geometric):
         # the slow-drift model needs ~1e3 terms; 50 cannot stabilise the ratios
         with pytest.raises(NonConvergence):
@@ -474,6 +479,64 @@ class TestSequenceLimits:
         checks = {c.name: c for c in run_model(config, verify=True).checks}
         assert not checks["sequence_limits_agreement"].passed
         assert all(c.passed for name, c in checks.items() if name != "sequence_limits_agreement")
+
+
+def _branch_per_law_band(dist, kappa, m):
+    """`_recurrence_band` with one branch per law class: the reference that
+    the pgf-ratio path matches bit for bit."""
+    if isinstance(dist, Geometric):
+        lower = 1
+        ab = np.tile(np.r_[-dist.q, 1.0, np.zeros(kappa - 1), -dist.p], (m + 1, 1))
+        ab[0, 2:] = -dist.p * dist.q ** np.arange(kappa - 1, -1, -1)
+    else:
+        x, _tail = dist.truncate(TRUNC_EPS)
+        lower = max(x.size - 1 - kappa, 0)
+        ab = np.tile(-np.r_[x, np.zeros(lower + kappa + 1 - x.size)][::-1], (m + 1, 1))
+        ab[np.arange(m + 1)[:, None] + np.arange(lower + kappa + 1) <= lower] = 0.0  # ruin
+        ab[:, lower] += 1.0
+    columns = np.arange(m + 1)[:, None] + np.arange(ab.shape[1]) - lower
+    b = -np.where(columns > m, ab, 0.0).sum(axis=1)
+    ab[columns > m] = 0.0
+    return ab, lower, b
+
+
+def _assert_band_matches_branch_per_law(dist, kappa, m):
+    ab, lower, b = verification._recurrence_band(dist, kappa, m)
+    want_ab, want_lower, want_b = _branch_per_law_band(dist, kappa, m)
+    assert lower == want_lower
+    assert b.tobytes() == want_b.tobytes()
+    # up to the sign of zero: the geometric reference holds +0.0 between
+    # the g and A entries, the shared path -0.0 (adding +0.0 maps -0.0 to +0.0)
+    assert (ab + 0.0).tobytes() == (want_ab + 0.0).tobytes()
+    if isinstance(dist, FinitePmf):
+        assert ab.tobytes() == want_ab.tobytes()
+    got = _boundary_value_solve(dist, kappa, m + kappa)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_recurrence_band", _branch_per_law_band)
+        want = _boundary_value_solve(dist, kappa, m + kappa)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+class TestRecurrenceBand:
+    @pytest.mark.parametrize("law", ["bernoulli", "geometric", "double_root_dist", "shifted_dist"])
+    @pytest.mark.parametrize("kappa, m", [(1, 0), (2, 1), (2, 1998), (3, 40), (5, 17)])
+    def test_fixture_laws(self, request, law, kappa, m):
+        _assert_band_matches_branch_per_law(request.getfixturevalue(law), kappa, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        head=st.floats(1e-3, 1.0),
+        tail=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=12),
+        p=st.floats(0.05, 0.95),
+        kappa=st.integers(1, 8),
+        m=st.integers(0, 60),
+    )
+    def test_sampled_laws(self, head, tail, p, kappa, m):
+        # p <= 0.95 keeps q^(kappa-1) above TRUNC_EPS, so the truncated pmf
+        # that row 0 of a geometric band reads holds x_0..x_(kappa-1)
+        weights = np.array([head, *tail])
+        _assert_band_matches_branch_per_law(FinitePmf(tuple(weights / weights.sum())), kappa, m)
+        _assert_band_matches_branch_per_law(Geometric(p), kappa, m)
 
 
 class TestIdentityResidual:
