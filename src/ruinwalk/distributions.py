@@ -95,7 +95,10 @@ class FinitePmf(ClaimDistribution):
         object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_cdf", np.cumsum(p))
         object.__setattr__(self, "_mean", float(np.arange(p.size) @ p))
-        object.__setattr__(self, "_guide", None)
+        # built here, not on first use: chunk threads map draws concurrently
+        cdf = self._cdf.copy()
+        cdf[self.max_support() :] = np.inf
+        object.__setattr__(self, "_guide", (cdf, *_guide_table(cdf)))
 
     def pmf(self, k: int) -> float:
         if k < 0 or k >= self._p.size:
@@ -152,10 +155,6 @@ class FinitePmf(ClaimDistribution):
         summing to less than 1 maps u >= cdf[-1] to that point, not past the
         support; where cdf[-1] >= 1 no uniform reaches those entries.
         """
-        if self._guide is None:
-            cdf = self._cdf.copy()
-            cdf[self.max_support() :] = np.inf
-            object.__setattr__(self, "_guide", (cdf, *_guide_table(cdf)))
         cdf, k, pair, split, multi = self._guide
         j = np.multiply(raw, k, out=np.empty(raw.shape, dtype=np.intp), casting="unsafe")
         hit = None if multi is None else multi[j]
@@ -216,7 +215,7 @@ class Geometric(ClaimDistribution):
     def pmf(self, k: int) -> float:
         if k < 0:
             return 0.0
-        return self.p * self.q**k
+        return float(self._masses(k + 1)[k])
 
     def cdf(self, u: int) -> float:
         if u < 0:
@@ -248,9 +247,12 @@ class Geometric(ClaimDistribution):
         # smallest m with q^(m+1) <= eps, solved on the log scale
         ratio = math.log(eps) / math.log(self.q)
         m = max(0, math.ceil(ratio - 1.0 - _LOG_SLACK * abs(ratio)))
-        pmf = self.p * self.q ** np.arange(m + 1, dtype=float)
-        tail = self.q ** (m + 1)
-        return pmf, tail
+        return self._masses(m + 1), self.q ** (m + 1)
+
+    def _masses(self, n: int) -> np.ndarray:
+        # the one computation of p q^k behind pmf and truncate: numpy's power
+        # and Python's float power differ in the last bit
+        return self.p * self.q ** np.arange(n, dtype=float)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         return rng.standard_exponential(out=out)

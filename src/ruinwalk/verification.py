@@ -126,14 +126,14 @@ def _simulate_suprema_chunk(
     n_paths: int,
     horizon: int,
     *,
-    threaded: bool = False,
+    draw_ahead: bool,
 ):
     """Unclipped running suprema of the centred walk for one chunk of paths.
 
     Consumption of the stream is a fixed function of (n_paths, horizon), so a
     path's draws depend only on its chunk and position, never on the fate of
     other paths. The raw draws come from `_raw_slices`, on a second thread
-    when `threaded`; either way this thread maps them to claims, and the
+    when `draw_ahead`; either way this thread maps them to claims, and the
     subtract, cumsum and max of a slice stay in cache.
     """
     running = np.zeros(n_paths, dtype=np.int64)
@@ -143,7 +143,7 @@ def _simulate_suprema_chunk(
     # grew with every call
     buffers = np.empty((2, _SLICE * _BLOCK), dtype=float)
     slices = _raw_slices(dist, rng, n_paths, horizon, buffers)
-    drawing = contextlib.closing(_prefetched(slices)) if threaded else contextlib.nullcontext(slices)
+    drawing = contextlib.closing(_prefetched(slices)) if draw_ahead else contextlib.nullcontext(slices)
     with drawing as drawn:
         for lo, hi, raw in drawn:
             draws = dist.claims(raw)
@@ -155,43 +155,34 @@ def _simulate_suprema_chunk(
     return best
 
 
-def _suprema_task(args):
-    dist, kappa, seed, chunk_index, n, horizon, threaded = args
-    rng = _chunk_rng(seed, chunk_index)
-    return chunk_index, _simulate_suprema_chunk(dist, kappa, rng, n, horizon, threaded=threaded)
-
-
 def _all_suprema(
     dist: ClaimDistribution,
     kappa: int,
     paths: int,
     horizon: int,
     seed: int,
-    workers: int,
 ) -> np.ndarray:
     """Suprema for every path, merged from fixed-size chunks.
 
     Chunk streams are keyed (seed, chunk index), so the result does not depend
-    on how many workers processed them. Chunks run in this process draw on a
-    second thread when more than one CPU is available; pooled chunks already
-    occupy the CPUs, so they draw inline.
+    on which thread runs a chunk. Up to one chunk per CPU runs at a time, each
+    on its own thread; a single one runs on this thread. A chunk draws ahead
+    on a second thread only when a CPU is left over for that thread.
     """
     sizes = [min(_CHUNK, paths - lo) for lo in range(0, paths, _CHUNK)]
-    pooled = workers > 1 and len(sizes) > 1
-    threaded = not pooled and len(os.sched_getaffinity(0)) > 1
-    tasks = [(dist, kappa, seed, i, n, horizon, threaded) for i, n in enumerate(sizes)]
-    out = np.empty(paths, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    if not pooled:
-        results = map(_suprema_task, tasks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load multiprocessing
+    cpus = len(os.sched_getaffinity(0))
+    threads = min(len(sizes), cpus)
+    draw_ahead = cpus >= 2 * threads
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_suprema_task, tasks))
-    for chunk_index, best in results:
-        out[offsets[chunk_index] : offsets[chunk_index + 1]] = best
-    return out
+    def chunk(i: int) -> np.ndarray:
+        return _simulate_suprema_chunk(
+            dist, kappa, _chunk_rng(seed, i), sizes[i], horizon, draw_ahead=draw_ahead
+        )
+
+    if threads == 1:
+        return np.concatenate([chunk(i) for i in range(len(sizes))])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(chunk, range(len(sizes)))))
 
 
 def mc_survival(
@@ -201,21 +192,16 @@ def mc_survival(
     paths: int,
     horizon: int,
     seed: int,
-    *,
-    workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo survival estimates, one per initial surplus.
 
     A path survives level u iff its walk supremum over the horizon stays
     strictly below u; the estimate is therefore biased upward by at most the
-    chance of ruin after the horizon. Integer walk state throughout; fixed
-    Philox chunking makes the result bit-reproducible and independent of the
-    worker count. The unclipped suprema are kept for the stationarity check.
+    chance of ruin after the horizon. The suprema are mc_walk_suprema's, kept
+    for the stationarity check.
     """
-    check_net_profit(dist, kappa).require_ok()
     u_arr = np.asarray(sorted(set(int(u) for u in u_list)), dtype=np.int64)
-    eff = _effective_horizon(dist, kappa, horizon)
-    best = _all_suprema(dist, kappa, paths, eff, seed, workers)
+    best = mc_walk_suprema(dist, kappa, paths, horizon, seed)
     phi_hat = (best[None, :] < u_arr[:, None]).mean(axis=1)
     # floored at 1/paths: when no path (or every path) survives, the plug-in
     # error is 0, and 3 std_err becomes the rule-of-three bound 3/paths
@@ -225,7 +211,7 @@ def mc_survival(
         phi_hat=phi_hat,
         std_err=std_err,
         paths=paths,
-        effective_horizon=eff,
+        effective_horizon=_effective_horizon(dist, kappa, horizon),
         suprema=best,
     )
 
@@ -236,17 +222,14 @@ def mc_walk_suprema(
     paths: int,
     horizon: int,
     seed: int,
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
     """Horizon-truncated samples of the unclipped walk supremum.
 
-    Counting (suprema < u) reproduces mc_survival bit-for-bit at the same
-    (seed, paths, horizon): both consume the chunk streams identically.
+    Integer walk state throughout; fixed Philox chunking makes the result
+    bit-reproducible and independent of the thread count.
     """
     check_net_profit(dist, kappa).require_ok()
-    eff = _effective_horizon(dist, kappa, horizon)
-    return _all_suprema(dist, kappa, paths, eff, seed, workers)
+    return _all_suprema(dist, kappa, paths, _effective_horizon(dist, kappa, horizon), seed)
 
 
 def mc_stationarity_distance(

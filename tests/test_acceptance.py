@@ -5,8 +5,6 @@ captured output of a failure). The Monte Carlo criteria share one 10^6-path,
 horizon-5000 simulation per heavy model through session fixtures.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -42,7 +40,6 @@ from reference_values import PHI0_EXACT_K2, PHI1_EXACT_K2
 MC_PATHS = 1_000_000
 MC_HORIZON = 5_000
 MC_SEED = 2026
-MC_WORKERS = min(4, os.cpu_count() or 1)
 U_PROBES = (0, 1, 2, 5, 10)
 # geometric kappa=2 decays like rho^T T^(-3/2) with rho = min_{s>1} G_X(s)/s^2
 # = 0.99992525, so phi(u, 2000) - phi(u) is still ~3.8e-2; by T = 60 000 it
@@ -90,22 +87,22 @@ def model2_state_cap(geometric, model2_solution):
 
 @pytest.fixture(scope="session")
 def suprema_model1(bernoulli):
-    return mc_walk_suprema(bernoulli, 1, MC_PATHS, MC_HORIZON, MC_SEED, workers=MC_WORKERS)
+    return mc_walk_suprema(bernoulli, 1, MC_PATHS, MC_HORIZON, MC_SEED)
 
 
 @pytest.fixture(scope="session")
 def suprema_model2(geometric):
-    return mc_walk_suprema(geometric, 2, MC_PATHS, MC_HORIZON, MC_SEED, workers=MC_WORKERS)
+    return mc_walk_suprema(geometric, 2, MC_PATHS, MC_HORIZON, MC_SEED)
 
 
 @pytest.fixture(scope="session")
 def suprema_model3(geometric):
-    return mc_walk_suprema(geometric, 3, MC_PATHS, MC_HORIZON, MC_SEED, workers=MC_WORKERS)
+    return mc_walk_suprema(geometric, 3, MC_PATHS, MC_HORIZON, MC_SEED)
 
 
 @pytest.fixture(scope="session")
 def suprema_model4(double_root_dist):
-    return mc_walk_suprema(double_root_dist, 3, MC_PATHS, MC_HORIZON, MC_SEED, workers=MC_WORKERS)
+    return mc_walk_suprema(double_root_dist, 3, MC_PATHS, MC_HORIZON, MC_SEED)
 
 
 def phi_function(dist, kappa):

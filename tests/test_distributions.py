@@ -32,6 +32,14 @@ class TestPmf:
         assert Geometric(0.5).pmf(3) == pytest.approx(0.5 * 0.5**3, abs=0)
         assert Geometric(0.5).pmf(3) == 0.0625
 
+    @given(p=st.floats(min_value=0.001, max_value=0.999), frac=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_geometric_pmf_is_truncate_bit_for_bit(self, p, frac):
+        d = Geometric(p)
+        x, _tail = d.truncate(TRUNC_EPS)
+        k = int(frac * (x.size - 1))
+        assert d.pmf(k).hex() == float(x[k]).hex()
+
     def test_pmf_sums_to_one(self):
         d = FinitePmf((0.2, 0.5, 0.3))
         assert sum(d.pmf(k) for k in range(10)) == pytest.approx(1.0, abs=1e-12)

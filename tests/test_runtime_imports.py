@@ -1,5 +1,6 @@
-"""The package runs on the standard library and numpy alone (stdlib `ast`), and a
-default `--verify` run loads neither mpmath nor multiprocessing."""
+"""The package runs on the standard library and numpy alone (stdlib `ast`), it
+starts no process (the Monte Carlo runs its chunks on threads), and a default
+`--verify` run loads neither mpmath nor multiprocessing."""
 
 from __future__ import annotations
 
@@ -43,6 +44,49 @@ def test_package_imports_only_stdlib_and_numpy():
         f"{path.relative_to(ROOT)}:{hit}"
         for path in SCANNED
         for hit in foreign_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def process_pools(source: str) -> list[str]:
+    """Each use in `source`, at any depth, of multiprocessing or ProcessPoolExecutor,
+    by import or by attribute, as `line: name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {n}"
+            for n in names
+            if n.split(".")[0] == "multiprocessing" or n == "ProcessPoolExecutor"
+        ]
+    return found
+
+
+def test_scanner_sees_a_process_pool():
+    source = (
+        "from concurrent.futures import ThreadPoolExecutor\nimport threading\n"
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+        "    import multiprocessing.pool\n    from multiprocessing import get_context\n"
+        "import concurrent.futures\npool = concurrent.futures.ProcessPoolExecutor()\n"
+    )
+    assert process_pools(source) == [
+        "4: ProcessPoolExecutor",
+        "5: multiprocessing.pool",
+        "6: multiprocessing",
+        "8: ProcessPoolExecutor",
+    ]
+
+
+def test_package_starts_no_process_pool():
+    found = [
+        f"{path.relative_to(ROOT)}:{hit}" for path in SCANNED for hit in process_pools(path.read_text())
     ]
     assert found == []
 

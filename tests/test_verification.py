@@ -1,8 +1,8 @@
-import concurrent.futures
 import faulthandler
 import hashlib
 import itertools
 import os
+import sys
 import threading
 
 import numpy as np
@@ -124,11 +124,20 @@ class TestStreamConsumption:
         ],
         ids=["geometric", "finite"],
     )
-    def test_two_chunks_match_digest_at_any_worker_count(self, dist, kappa, paths, horizon, seed, digest):
-        one = mc_walk_suprema(dist, kappa, paths, horizon, seed, workers=1)
-        two = mc_walk_suprema(dist, kappa, paths, horizon, seed, workers=2)
-        assert one.tobytes() == two.tobytes()
-        assert _digest(one) == digest
+    def test_two_chunks_match_digest_at_any_worker_count(
+        self, monkeypatch, dist, kappa, paths, horizon, seed, digest
+    ):
+        # 1 CPU runs the three chunks one after another on this thread, 2 to
+        # 4 run them on chunk threads, and 6 leaves each chunk thread a CPU
+        # for its draw-ahead thread; a short switch interval interleaves them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3, 4, 6):
+                _cpus(monkeypatch, cpus)
+                assert _digest(mc_walk_suprema(dist, kappa, paths, horizon, seed)) == digest, cpus
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "dist, kappa, digest",
@@ -201,28 +210,31 @@ class TestPipelinedKernel:
             return prefetched(slices)
 
         monkeypatch.setattr(verification, "_prefetched", counted)
-        mc_walk_suprema(UNIFORM_40, 25, 700, 300, 4)
+        one_chunk = _RecordsWalkers(UNIFORM_40.probabilities)
+        mc_walk_suprema(one_chunk, 25, 700, 300, 4)
+        # one chunk walks on the calling thread, drawing ahead on a second
+        # thread when there is a second CPU
         assert len(started) == threads
-        # pooled chunks draw inline, whatever the CPU count; the pool runs
-        # them here so that the count sees them
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        assert one_chunk.walkers == {threading.get_ident()}
+        # two chunks leave no CPU over on one or two CPUs, so neither draws
+        # ahead; on two CPUs each walks on a chunk thread
         started.clear()
-        mc_walk_suprema(UNIFORM_40, 25, _CHUNK + 10, 2, 4, workers=2)
+        two_chunks = _RecordsWalkers(UNIFORM_40.probabilities)
+        mc_walk_suprema(two_chunks, 25, _CHUNK + 10, 2, 4)
         assert started == []
+        assert (threading.get_ident() in two_chunks.walkers) == (cpus == 1)
 
 
-class _InlinePool:
-    def __init__(self, max_workers):
-        pass
+class _RecordsWalkers(FinitePmf):
+    """Records the threads that map its draws."""
 
-    def __enter__(self):
-        return self
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "walkers", set())
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def claims(self, raw):
+        self.walkers.add(threading.get_ident())
+        return super().claims(raw)
 
 
 class _Boom(RuntimeError):
@@ -264,10 +276,10 @@ class TestThreadHygiene:
         yield
         faulthandler.cancel_dump_traceback_later()
 
-    def _raises(self, dist, message):
+    def _raises(self, dist, message, paths=2 * _SLICE + 100):
         before = threading.active_count()
         with pytest.raises(_Boom, match=message) as caught:
-            mc_walk_suprema(dist, 25, 2 * _SLICE + 100, 3 * _BLOCK, 7)
+            mc_walk_suprema(dist, 25, paths, 3 * _BLOCK, 7)
         # the traceback still holds the kernel's frame: the thread must be
         # joined before the error leaves the kernel, not when it is collected
         assert caught.tb is not None
@@ -279,6 +291,14 @@ class TestThreadHygiene:
     def test_error_while_drawing(self, monkeypatch):
         monkeypatch.setattr(verification, "_chunk_rng", _DrawFailsOnThirdSlice)
         self._raises(UNIFORM_40, "draw")
+
+    def test_error_while_mapping_in_a_chunk_thread(self):
+        # two chunks on two CPUs: each walks on its own chunk thread
+        self._raises(_MapFailsOnThirdSlice(UNIFORM_40.probabilities), "map", _CHUNK + 10)
+
+    def test_error_while_drawing_in_a_chunk_thread(self, monkeypatch):
+        monkeypatch.setattr(verification, "_chunk_rng", _DrawFailsOnThirdSlice)
+        self._raises(UNIFORM_40, "draw", _CHUNK + 10)
 
     def test_no_thread_left_after_success(self):
         before = threading.active_count()
