@@ -6,14 +6,14 @@ multiplicity; there are exactly kappa-1 of them under the net profit
 condition. Roots strictly outside the disk are kept as well: they are the
 poles that drive the stable large-u tail of the survival table.
 
-Primary finder: Aberth-Ehrlich simultaneous iteration on the polynomial
-deflated by (s - 1), then multiplicity-aware Newton polishing. The companion
-matrix eigenvalue route (numpy.roots) is exposed separately as an independent
-cross-check path.
+The roots are the eigenvalues of the balanced companion matrix of the
+polynomial deflated by (s - 1), clustered into multiple roots and polished by
+multiplicity-aware Newton steps. The tests check them against mpmath.polyroots.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,7 @@ TOL_CLUSTER = 1e-6
 # roots with ||s| - 1| <= TOL_BOUNDARY lie on the unit circle and count as
 # unit-disk roots
 TOL_BOUNDARY = 1e-8
+_NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -167,52 +168,15 @@ def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:
     return b
 
 
-def aberth_roots(coeffs, *, tol: float = 1e-14, max_iter: int = 500) -> np.ndarray:
-    """All roots of a polynomial by Aberth-Ehrlich simultaneous iteration.
-
-    Multiple roots stall at the usual O(eps^(1/l)) cluster accuracy; the
-    caller is expected to cluster and polish. Coefficients lowest first.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    # trim numerically-zero leading coefficients
-    nz = np.flatnonzero(np.abs(c) > 0.0)
-    if nz.size == 0:
-        raise ConvergenceFailure("zero polynomial has no well-defined roots")
-    c = c[: nz[-1] + 1]
-    n = c.size - 1
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    monic = c / c[-1]
-    if n == 1:
-        return np.array([-monic[0]], dtype=complex)
-
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))  # Cauchy bound
-    k = np.arange(n)
-    z = 0.8 * radius * np.exp(2j * np.pi * (k + 0.35) / n + 0.45j)
-    dc = npoly.polyder(c)
-
-    for _ in range(max_iter):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
-        # keep Newton's ratio finite at critical points
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        w = newton / (1.0 - newton * repulsion)
-        z = z - w
-        if not np.all(np.isfinite(z)):
-            raise ConvergenceFailure("Aberth iteration diverged to non-finite values")
-        if np.max(np.abs(w)) <= tol * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
 def companion_roots(coeffs) -> np.ndarray:
-    """Eigenvalue route via the companion matrix; independent cross-check."""
+    """All roots of a real polynomial (lowest degree first) as the eigenvalues
+    of its balanced companion matrix; complex roots come in exact conjugate pairs.
+    """
     c = np.asarray(coeffs, dtype=float)
-    return np.roots(c[::-1])
+    try:
+        return np.roots(c[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"companion eigenvalues: {exc}") from exc
 
 
 def _partition(points: np.ndarray, tol: float) -> list[list[int]]:
@@ -265,11 +229,11 @@ def cluster_multiplicities(raw, *, tol_cluster: float) -> list[tuple[complex, in
     return out
 
 
-def _newton_polish(coeffs: np.ndarray, z0: complex, *, max_iter: int = 80) -> complex:
+def _newton_polish(coeffs: np.ndarray, z0: complex) -> complex:
     z = complex(z0)
     c = np.asarray(coeffs, dtype=complex)
     dc = npoly.polyder(c)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         dp = npoly.polyval(z, dc)
         if dp == 0:
             break
@@ -294,7 +258,7 @@ def find_unit_disk_roots(char: CharPolynomial) -> RootSet:
             raise RootCountMismatch(0, expected)
         return RootSet(roots=())
 
-    raw = aberth_roots(deflated)
+    raw = companion_roots(deflated)
     inside_mask = (np.abs(raw) <= 1.0 + TOL_BOUNDARY) & (np.abs(raw - 1.0) > TOL_ROOT)
     inside_raw = raw[inside_mask]
     outside_raw = raw[np.abs(raw) > 1.0 + TOL_BOUNDARY]
@@ -303,47 +267,19 @@ def find_unit_disk_roots(char: CharPolynomial) -> RootSet:
 
     # polish each cluster: a multiplicity-l root of Q is a simple root of
     # Q^(l-1), where Newton converges quadratically again
-    polished: list[tuple[complex, int]] = []
+    final: list[tuple[complex, int]] = []
     for value, mult in clusters:
         target = npoly.polyder(char.coeffs, mult - 1) if mult > 1 else char.coeffs
         z = _newton_polish(target, value)
         if abs(z.imag) <= TOL_CLUSTER / 2.0:
             z = complex(z.real, 0.0)
-        polished.append((z, mult))
+        final.append((z, mult))
 
-    # enforce conjugate closure by averaging matched pairs
-    final: list[tuple[complex, int]] = []
-    used = [False] * len(polished)
-    for i, (zi, mi) in enumerate(polished):
-        if used[i]:
-            continue
-        if zi.imag == 0.0:
-            used[i] = True
-            final.append((zi, mi))
-            continue
-        partner = None
-        best = np.inf
-        for j in range(i + 1, len(polished)):
-            zj, mj = polished[j]
-            if used[j] or mj != mi or zj.imag == 0.0:
-                continue
-            d = abs(np.conj(zi) - zj)
-            if d < best:
-                best, partner = d, j
-        if partner is None or best > TOL_CLUSTER * 10:
-            raise RootCountMismatch(
-                sum(m for _, m in polished),
-                expected,
-                roots=[z for z, _ in polished],
-            )
-        zj, _ = polished[partner]
-        used[i] = used[partner] = True
-        avg = (zi + np.conj(zj)) / 2.0
-        final.append((avg, mi))
-        final.append((np.conj(avg), mi))
-
+    # the eigenvalues of a real matrix come in exact conjugate pairs, and a
+    # Newton step on a real polynomial keeps a pair conjugate bit for bit
     total = sum(m for _, m in final)
-    if total != expected:
+    conjugates = Counter((z.conjugate(), m) for z, m in final)
+    if total != expected or Counter(final) != conjugates:
         raise RootCountMismatch(total, expected, roots=[z for z, _ in final])
 
     scale0 = float(np.abs(char.coeffs).sum())

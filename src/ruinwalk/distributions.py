@@ -72,7 +72,10 @@ class ClaimDistribution:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw integer claims, `claims` of a sized draw; used by the Monte Carlo oracle."""
+        """Draw integer claims, `claims` of a sized draw.
+
+        The Monte Carlo kernel calls `draw` and `claims` instead.
+        """
         raise NotImplementedError
 
     def to_dict(self) -> dict:

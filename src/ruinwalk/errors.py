@@ -31,7 +31,7 @@ class ReductionError(RuinwalkError):
 
 
 class RootCountMismatch(RuinwalkError):
-    """Root search did not account for exactly kappa-1 unit-disk roots."""
+    """Root search did not find exactly kappa-1 conjugate-closed unit-disk roots."""
 
     def __init__(self, found: int, expected: int, roots=None):
         self.found = found

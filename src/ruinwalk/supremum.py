@@ -175,17 +175,17 @@ def determinant_identity_error(system: BoundarySystem, roots: RootSet, x0: float
 
     det(A) = x0^kappa / (-1)^(kappa+1) * prod_j (alpha_j - 1)
              * prod_{i<j} (alpha_j - alpha_i),
-    valid for simple roots, with empty products equal to one. Health check
+    valid for simple roots, with empty products equal to one. Both sides are
+    compared as log-modulus and phase, so x0^kappa may underflow. Health check
     only; never part of the solve path.
     """
     if not roots.all_simple:
         raise MultipleRootsUnsupported("determinant identity holds for simple roots")
     kappa = system.kappa
     alphas = roots.values
-    formula = x0**kappa * (-1.0) ** (kappa + 1)
-    formula *= complex(np.prod(alphas - 1.0)) if alphas.size else 1.0
-    for j in range(alphas.size):
-        for i in range(j):
-            formula *= alphas[j] - alphas[i]
-    det = complex(np.linalg.det(system.matrix))
-    return abs(det - formula) / abs(formula)
+    diffs = alphas[:, None] - alphas[None, :]
+    factors = np.concatenate((alphas - 1.0, diffs[np.tril_indices(alphas.size, -1)]))
+    log_formula = kappa * np.log(x0) + np.log(np.abs(factors)).sum()
+    phase = (-1.0) ** (kappa + 1) * np.prod(factors / np.abs(factors))
+    sign, log_det = np.linalg.slogdet(system.matrix)
+    return float(abs(sign * np.exp(log_det - log_formula) - phase))

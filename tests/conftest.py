@@ -1,4 +1,4 @@
-"""Shared fixtures: the four reference models and a seeded random-model sampler."""
+"""Shared fixtures: the four reference models and two seeded random-model corpora."""
 
 from __future__ import annotations
 
@@ -67,3 +67,23 @@ def random_models():
     """The fixed 200-model property-test corpus."""
     rng = np.random.default_rng(20260808)
     return [sample_model(rng) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def stress_corpus():
+    """The fixed 200-model stress corpus: (dist, kappa, u_max), not reduced.
+
+    kappa in 2..30, support 2..60 and Dirichlet(0.3) weights are redrawn
+    together until E X < kappa; 103 models have no claim above kappa.
+    """
+    rng = np.random.default_rng(20261018)
+    models = []
+    for _ in range(200):
+        while True:
+            kappa = int(rng.integers(2, 31))
+            size = int(rng.integers(2, 61))
+            weights = rng.dirichlet(0.3 * np.ones(size))
+            if np.arange(size) @ weights < kappa:
+                break
+        models.append((FinitePmf(tuple(weights)), kappa, int(rng.integers(10, 121))))
+    return models

@@ -1,3 +1,6 @@
+from collections import Counter
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,8 @@ from hypothesis import strategies as st
 
 import ruinwalk.charpoly as charpoly
 from ruinwalk.charpoly import (
-    aberth_roots,
+    TOL_BOUNDARY,
+    TOL_ROOT,
     build_characteristic,
     cluster_multiplicities,
     companion_roots,
@@ -120,31 +124,19 @@ class TestDeflation:
         np.testing.assert_allclose(restored, char.coeffs, atol=1e-14)
 
 
-class TestAberth:
+class TestCompanionRoots:
     def test_known_cubic(self):
         # (s-2)(s+3)(s-0.5), lowest first
         coeffs = np.polynomial.polynomial.polyfromroots([2.0, -3.0, 0.5])
-        found = np.sort_complex(aberth_roots(coeffs))
+        found = np.sort_complex(companion_roots(coeffs))
         np.testing.assert_allclose(found, np.sort_complex(np.array([-3.0, 0.5, 2.0])), atol=1e-12)
 
-    def test_complex_pair(self):
-        coeffs = np.polynomial.polynomial.polyfromroots([1j, -1j, 4.0])
-        found = aberth_roots(coeffs.real)
-        assert min(abs(found - 1j)) < 1e-12
+    def test_complex_pair_is_exactly_conjugate(self):
+        coeffs = np.polynomial.polynomial.polyfromroots([0.3 + 1j, 0.3 - 1j, 4.0]).real
+        found = companion_roots(coeffs)
+        assert min(abs(found - (0.3 + 1j))) < 1e-12
         assert min(abs(found - 4.0)) < 1e-12
-
-    def test_agrees_with_companion_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            deg = rng.integers(2, 7)
-            coeffs = rng.normal(size=deg + 1)
-            if abs(coeffs[-1]) < 0.2:
-                coeffs[-1] = 0.5
-            mine = aberth_roots(coeffs)
-            ref = companion_roots(coeffs)
-            assert mine.size == ref.size
-            for z in mine:
-                assert min(abs(ref - z)) < 1e-7
+        assert Counter(found) == Counter(found.conj())
 
 
 class TestCluster:
@@ -169,6 +161,27 @@ class TestCluster:
         raw = [0.0 + 0.0j, 3e-6 + 0.0j]
         with pytest.raises(AmbiguousCluster):
             cluster_multiplicities(raw, tol_cluster=1e-6)
+
+
+def _reduced_characteristic(dist, kappa):
+    dist, kappa, _shift = reduce_support(dist, kappa)
+    return build_characteristic(dist, kappa)
+
+
+def _assert_valid_root_set(char, roots):
+    """kappa-1 roots by multiplicity, each passing the residual test at every
+    derivative order, conjugate-closed bit for bit, and poles outside the disk."""
+    assert roots.total_multiplicity == char.kappa - 1
+    scale0 = np.abs(char.coeffs).sum()
+    for r in roots.roots:
+        for order in range(r.multiplicity):
+            dcoeffs = np.polynomial.polynomial.polyder(char.coeffs, order)
+            scale = max(np.abs(dcoeffs).sum(), scale0)
+            assert abs(np.polynomial.polynomial.polyval(r.value, dcoeffs)) <= TOL_ROOT * scale
+    pairs = [(r.value, r.multiplicity) for r in roots.roots]
+    assert Counter(pairs) == Counter((z.conjugate(), m) for z, m in pairs)
+    assert Counter(roots.outside) == Counter(w.conjugate() for w in roots.outside)
+    assert all(abs(w) > 1.0 + TOL_BOUNDARY for w in roots.outside)
 
 
 class TestFindUnitDiskRoots:
@@ -223,17 +236,24 @@ class TestFindUnitDiskRoots:
             for r in roots.roots:
                 assert abs(char.eval(r.value)) <= 1e-10 * scale
 
-    def test_oracle_equivalence_low_degree(self, random_models):
-        # independent eigenvalue route on the same deflated polynomial
+    def test_oracle_equivalence_low_degree(self, stress_corpus):
+        # Durand-Kerner in mpmath shares nothing with the eigenvalue route;
+        # degree 20 bounds its cost (about 0.1 s a model)
         checked = 0
-        for _dist, kappa, roots, char in random_models:
-            if char.degree > 6 or not roots.roots:
+        for dist, kappa, _u_max in stress_corpus:
+            char = _reduced_characteristic(dist, kappa)
+            if char.degree > 20:
                 continue
-            ref = companion_roots(deflate_at_one(char.coeffs))
-            for r in roots.roots:
-                assert min(abs(ref - r.value)) < 1e-8
+            roots = find_unit_disk_roots(char)
+            ref = np.array(
+                [complex(z) for z in mpmath.polyroots(char.coeffs[::-1].tolist(), extraprec=30)]
+            )
+            in_disk = (np.abs(ref) <= 1.0 + TOL_BOUNDARY) & (np.abs(ref - 1.0) > TOL_ROOT)
+            assert np.count_nonzero(in_disk) == roots.total_multiplicity
+            for z in (*roots.values, *roots.outside):
+                assert min(abs(ref - z)) < 1e-10
             checked += 1
-        assert checked >= 20
+        assert checked >= 60
 
     def test_outside_roots_are_outside(self, random_models):
         for _dist, _kappa, roots, _char in random_models[:80]:
@@ -246,3 +266,27 @@ class TestFindUnitDiskRoots:
         monkeypatch.setattr(charpoly, "TOL_BOUNDARY", -0.9)
         with pytest.raises(RootCountMismatch):
             find_unit_disk_roots(char)
+
+
+class TestLargeKappa:
+    def test_stress_corpus(self, stress_corpus):
+        for dist, kappa, _u_max in stress_corpus:
+            char = _reduced_characteristic(dist, kappa)
+            _assert_valid_root_set(char, find_unit_disk_roots(char))
+
+    def test_uniform_0_to_200_kappa_151(self):
+        # degree 200 with 150 roots in the disk, the largest kappa tested
+        char = build_characteristic(FinitePmf(tuple(np.full(201, 1.0 / 201))), 151)
+        roots = find_unit_disk_roots(char)
+        _assert_valid_root_set(char, roots)
+        assert roots.all_simple
+        assert len(roots.roots) == 150 and len(roots.outside) == 49
+
+    def test_pairing_check_rejects_an_unpaired_root(self, geometric, monkeypatch):
+        # the upper root of the pair moves by 1e-13: the count and the
+        # residual test still pass, the conjugate pairing does not
+        polish = charpoly._newton_polish
+        shifted = lambda c, z0: polish(c, z0) + (1e-13 if z0.imag > 0 else 0.0)
+        monkeypatch.setattr(charpoly, "_newton_polish", shifted)
+        with pytest.raises(RootCountMismatch):
+            find_unit_disk_roots(build_characteristic(geometric, 3))

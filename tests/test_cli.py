@@ -247,6 +247,19 @@ class TestPipeline:
         assert report.survival.phi[0] == pytest.approx(1e-5, rel=1e-6)  # 1 - EX
         assert report.all_passed
 
+    @pytest.mark.parametrize(
+        "dist, kappa",
+        [
+            (FinitePmf(tuple(np.full(201, 1.0 / 201))), 151),
+            (FinitePmf(tuple(np.full(151, 1.0 / 151))), 100),
+            (Geometric(0.01), 120),
+        ],
+        ids=["uniform_0_200_k151", "uniform_0_150_k100", "geometric_0.01_k120"],
+    )
+    def test_large_kappa_passes_every_check(self, dist, kappa):
+        report = run_model(ModelConfig(kappa=kappa, dist=dist, u_max=300, t_max=5))
+        assert [c.name for c in report.checks if not c.passed] == []
+
     def test_no_surviving_path_is_not_an_exact_match(self):
         # phi(0) = 1e-5: no path of 20 000 survives at u = 0, so the plug-in
         # std err is 0; its 1/paths floor makes 3 std err the rule-of-three bound
@@ -447,21 +460,21 @@ class TestRendering:
         "geometric_k2": (
             Geometric(P), 2, 2000, 20,
             {
-                "report.txt": "c6f0ed45c58b2dfa6f7f356a6fa329012d706356604abcae183dda5b25d90284",
+                "report.txt": "948feb200c0f2ed7dfe1d6b3fba8a6eadde6c7abc37cbf7eba5f9523d59b7a1c",
                 "survival.csv": "20750188c8ef29d93af2ae05863b8c95642d93490896e176173c9df93ef8ce51",
                 "finite_time.csv": "24321a5de14047ce0b5e5cefedeaff996920875d3d9e2eb86b9a1bb868518c5e",
                 "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-                "verification.csv": "0a3dfca8527d61bf001abe4d6426490c813dab4f9c0144a1ca9210bc25a5e34c",
+                "verification.csv": "f25b4c0a5920983e902bfeb0ce3daee6d62c45c5aa3c8f558fa97509ec10d333",
             },
         ),
         "double_root_k3": (
             FinitePmf((0.128, 0.576, 0.264, 0.032)), 3, 200, 50,
             {
-                "report.txt": "ac766e878d50d720f475a04b38d3579db53181e23596ee0707254f2bd4d2ae7d",
+                "report.txt": "19d621ab0c85f16a0aa354dc16ce6346a08ba5f6d8825f8e10c44d2bbe7b2243",
                 "survival.csv": "6f3b270b696bc29b5913f14f7b85c7d9e7853dc59c129d10663ce685a4697c6c",
                 "finite_time.csv": "d73da9751d130d4331f2d6e1675854641705b93f240e524038a25f46fcd5a3a6",
                 "roots.csv": "2c7c1cfa868483c572ae7fcf323d6a1b6044cfc120d25eecd6bc1a61ef9c0d1f",
-                "verification.csv": "f1e81f2c8fadd7276230fd700e9c32ced36f7b9f55183ff81c83078e31d223de",
+                "verification.csv": "b44e59e24945e211037493ac1aeb89ec60a34da090156233d0b0da933891a670",
             },
         ),
         "shifted_k2": (
@@ -478,11 +491,11 @@ class TestRendering:
         "tiny_survival_k1": (
             FinitePmf((3e-5, 0.99997)), 1, 50, 30,
             {
-                "report.txt": "af152eca7bd83c29c96037f3cc6285a4b289989c74245b2f8ca8ec1127151534",
+                "report.txt": "6e87e3550e380b868f6e8b8577ac2146a24147b28fbe632b6e8b7712c04ab9d8",
                 "survival.csv": "2e43513922a7718aece5d1e1c539fd27a14c409e85e8be793f3f95ef87cf42e5",
                 "finite_time.csv": "9b9e3773c547b267ea1bf6b5e70c6335578557fa5f242b0571da63287a16c706",
                 "roots.csv": "505570ef2023a2d575d3d1c3c7297e0b9d0e2ad0a7ff884b74529ab7c303b9f3",
-                "verification.csv": "b57d24dbe58d0b3f6c920d148f844e77866167862ab9e4daf243ff5286db6807",
+                "verification.csv": "50f971ccbb7b744d8c76ec018d7c044f7f750dc515ec453306c79fe4b8f66b46",
             },
         ),
         # a root on the unit circle: on_boundary prints True
@@ -501,11 +514,11 @@ class TestRendering:
         "geometric_k50": (
             Geometric(0.03), 50, 2000, 20,
             {
-                "report.txt": "000f1c26f41663b6a374bb86f8db0121c75631bcb32d1c1496702d430d2de65f",
-                "survival.csv": "e6f81d32ec2ab311ab6f436fce9b05c028440ed4005bbb743dca6247930f1ead",
+                "report.txt": "d08263c791e8a5a2a052bceaf4b4bf5afebae7029146f6ffb8ad5ee5009c59a9",
+                "survival.csv": "c269e83eaaf19205f0eab47378b71a7b72f3a509130731af0561f3127c1d1e9a",
                 "finite_time.csv": "d4eebdcb2025c0ec0b32aa0551bd217387bcf90156a52f275c2d96514427ea05",
-                "roots.csv": "60d12e6f10b55dc3ad8c8a2b52e72c8db0f3dbc24d7793216113a396b59af22e",
-                "verification.csv": "549252b70772315a1124cca5b819df61b77ecb5d39bdde9191129ae6c0855e77",
+                "roots.csv": "6f82a7f7fc4c1a847442fb6b1f93c0ef9ac9813a3ff668faf87a1094f5c9ad56",
+                "verification.csv": "fc9cc5f96c02ec5aabce4a61986a23a9ab1c9e020a2da033420f16cb35481987",
             },
         ),
     }
@@ -522,11 +535,11 @@ class TestRendering:
 
     # the same for a --verify run, Monte Carlo and sequence limits included
     VERIFY_DIGESTS = {
-        "report.txt": "971411a4ffda760cf4df07e8f2491ca3a08742b720bb51e143b2033caa80f089",
+        "report.txt": "f19655fbb69fef960cf730cba059204b94bb7b5b0c1a6f2096a0ca383b23f0c9",
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-        "verification.csv": "015e41f7561d32def2e8ab811b282bcb964560afda18a64847334d275f5e83f2",
+        "verification.csv": "67a5b7888822cdc4206641760490d9420273822d2be30ee919cf9f5c5da3322c",
     }
 
     def test_verify_output_digests(self, tmp_path):

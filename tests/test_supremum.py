@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
+from ruinwalk.distributions import FinitePmf, Geometric
 from ruinwalk.supremum import (
     build_boundary_system,
     cdf_toeplitz,
@@ -184,6 +187,24 @@ class TestDeterminantIdentity:
         for dist, kappa, roots, _char in random_models[:100]:
             system = build_boundary_system(dist, kappa, roots)
             assert determinant_identity_error(system, roots, dist.pmf(0)) <= 1e-8
+
+    # x0^kappa underflows (NaN) or the product of differences overflows (inf)
+    # when the identity is evaluated directly
+    LARGE_KAPPA = {
+        "geometric_0.006_k166": (Geometric(0.006), 166),
+        "geometric_0.01_k120": (Geometric(0.01), 120),
+        "uniform_0_200_k151": (FinitePmf(tuple(np.full(201, 1.0 / 201))), 151),
+    }
+
+    @pytest.mark.parametrize("model", list(LARGE_KAPPA))
+    def test_large_kappa_is_finite_and_caught_when_faulty(self, model):
+        dist, kappa = self.LARGE_KAPPA[model]
+        _c, roots, system, _sup = solve_model(dist, kappa)
+        assert determinant_identity_error(system, roots, dist.pmf(0)) <= 1e-8
+        faulty = system.matrix.copy()
+        faulty[0] *= 1.0 + 1e-6
+        broken = dataclasses.replace(system, matrix=faulty)
+        assert determinant_identity_error(broken, roots, dist.pmf(0)) > 1e-8
 
 
 class TestVandermondeReduction:
