@@ -90,8 +90,8 @@ class FinitePmf(ClaimDistribution):
         p = np.asarray(self.probabilities, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ConfigError("finite pmf must be a non-empty 1-D sequence")
-        if np.any(p < 0):
-            raise ConfigError("finite pmf entries must be non-negative")
+        if not np.all(np.isfinite(p) & (p >= 0)):
+            raise ConfigError("finite pmf entries must be finite and non-negative")
         if abs(p.sum() - 1.0) > PMF_SUM_TOL:
             raise ConfigError(f"finite pmf must sum to 1 within {PMF_SUM_TOL}, got {p.sum()!r}")
         object.__setattr__(self, "probabilities", tuple(float(v) for v in p))

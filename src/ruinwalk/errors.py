@@ -43,7 +43,7 @@ class RootCountMismatch(RuinwalkError):
 
 
 class ConvergenceFailure(RuinwalkError):
-    """Iterative root finder failed to converge."""
+    """The companion eigenvalues did not converge, or a root failed its residual test."""
 
 
 class AmbiguousCluster(RuinwalkError):

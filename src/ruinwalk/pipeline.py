@@ -198,46 +198,42 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
             )
         )
 
+    # every route is read on phi(0..length), so that the recurrence below has
+    # a whole stencil and phi(0..kappa) is checked at every u_max; the report
+    # holds phi(0..u_max)
+    length = max(config.u_max, kappa)
     t = time.perf_counter()
-    table = ultimate_survival_table(sup, char, config.u_max)
+    table = ultimate_survival_table(sup, char, length)
     timings["table"] = time.perf_counter() - t
 
     phi = table.phi
-    coeffs = survival_gf_coefficients(dist, char, config.u_max, roots=roots)
-    diff = np.max(np.abs(coeffs[:-1] - phi[1:])) if config.u_max else 0.0
+    coeffs = survival_gf_coefficients(dist, char, length, roots=roots)
+    diff = np.max(np.abs(coeffs[:-1] - phi[1:]))
     checks.append(Check.leq("table_vs_root_product", float(diff), 1e-9))
 
     tail = tail_expansion(sup, char, roots)
     if tail is not None:
-        us = np.arange(1, config.u_max + 1)
-        diff = np.max(np.abs(tail.phi(us - 1) - phi[1:])) if config.u_max else 0.0
+        diff = np.max(np.abs(tail.phi(np.arange(length)) - phi[1:]))
         checks.append(Check.leq("table_vs_pole_expansion", float(diff), 1e-9))
 
     init = closed_form_initial_values(closed, roots, dist)
-    upto = min(kappa, config.u_max)
-    diff = float(np.max(np.abs(init[: upto + 1] - phi[: upto + 1])))
+    diff = float(np.max(np.abs(init - phi[: kappa + 1])))
     checks.append(Check.leq("closed_form_initial_values", diff, 1e-9))
 
     # the recurrence phi(u) = sum_{i>=1} x_{u+kappa-i} phi(i) must be a fixed
     # point of the finished table wherever its whole stencil is in the table
-    n = config.u_max - kappa + 1
-    rec_res = 0.0
-    if n > 0:
-        x, _tail = dist.truncate(TRUNC_EPS)
-        conv = np.convolve(x, phi[1:])
-        rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n])))
+    n = length - kappa + 1
+    x, _tail = dist.truncate(TRUNC_EPS)
+    conv = np.convolve(x, phi[1:])
+    rec_res = float(np.max(np.abs(phi[:n] - conv[kappa - 1 : kappa - 1 + n])))
     checks.append(Check.leq("recurrence_fixed_point", rec_res, 1e-10))
 
     if kappa <= 2:
-        worst = 0.0
-        for s in _GF_COMPARISON_POINTS:
-            worst = max(
-                worst,
-                abs(
-                    survival_gf(sup, dist, kappa, s)
-                    - survival_gf_closed(dist, kappa, s, roots=roots)
-                ),
-            )
+        gaps = [
+            survival_gf(sup, dist, kappa, s) - survival_gf_closed(dist, kappa, s, roots=roots)
+            for s in _GF_COMPARISON_POINTS
+        ]
+        worst = np.max(np.abs(gaps))
         checks.append(Check.leq("gf_closed_agreement", worst, 1e-10))
 
     t = time.perf_counter()
@@ -256,7 +252,7 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
         sup_mass=sup.mass,
         sup_residual=sup.residual,
         sup_imag_leak=sup.imag_leak,
-        survival=table,
+        survival=SurvivalTable(phi=phi[: config.u_max + 1], method=table.method),
         finite_time=grid,
         checks=checks,
         warnings=warnings,
@@ -264,9 +260,9 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     )
 
     if verify:
-        # phi(0..u_max) from the unit-disk roots alone
+        # phi(0..length) from the unit-disk roots alone
         phi_roots = np.concatenate((init[:1], coeffs[:-1]))
-        _run_verification(report, config, dist, kappa, sup, char, phi_roots)
+        _run_verification(report, config, dist, kappa, sup, char, phi, phi_roots)
     report.timings["total"] = time.perf_counter() - t0
     return report
 
@@ -278,6 +274,7 @@ def _run_verification(
     kappa: int,
     sup: SupremumPmf,
     char: CharPolynomial,
+    phi: np.ndarray,
     phi_roots: np.ndarray,
 ) -> None:
     """Oracle passes: identity residual, Monte Carlo, stationarity, sequences."""
@@ -290,7 +287,6 @@ def _run_verification(
     report.timings["identity"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    phi = report.survival.phi
     u_list = [u for u in (0, 1, 2, 5, 10) if u <= config.u_max]
     est = mc_survival(dist, kappa, u_list, config.mc_paths, config.mc_horizon, config.seed)
     # P(M >= extended.size) is below IDENTITY_TAIL_TARGET, so states from
@@ -305,10 +301,7 @@ def _run_verification(
         phi_exact=phi_roots,
         state_cap=max(extended.size, phi.size),
     )
-    worst = -np.inf
-    for i, u in enumerate(est.u):
-        excess = abs(est.phi_hat[i] - phi[u]) - (3.0 * est.std_err[i] + bias[i])
-        worst = max(worst, excess)
+    worst = np.max(np.abs(est.phi_hat - phi[est.u]) - (3.0 * est.std_err + bias))
     report.mc = est
     report.mc_bias = bias
     # the 1e-12 bound covers the roundoff of the excess itself
@@ -323,12 +316,11 @@ def _run_verification(
     )
     report.timings["stationarity"] = time.perf_counter() - t
 
-    if kappa == 2 and dist.pmf(0) > 0.0:
+    if kappa == 2:
         t = time.perf_counter()
         lim = recurrent_sequence_limits(dist)
         report.sequence_limits = lim
-        # a table with u_max = 0 holds phi(0) only
-        err = max(abs(v - phi[u]) for u, v in enumerate((lim.phi0, lim.phi1)[: phi.size]))
+        err = np.max(np.abs(np.array([lim.phi0, lim.phi1]) - phi[:2]))
         report.checks.append(Check.leq("sequence_limits_agreement", err, 1e-6))
         report.timings["sequences"] = time.perf_counter() - t
 

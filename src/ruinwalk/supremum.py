@@ -5,13 +5,16 @@ Its first kappa local probabilities solve a square linear system: one row per
 unit-disk root of the characteristic equation (derivative rows standing in for
 repeated roots), closed by a first-moment row. Every longer stretch of the
 pmf comes from one FFT inversion of G_M = R g / Q1 on a circle inside the unit
-disk, with R = C @ mass from the solve or, as an independent check, the
-product over the roots; a determinant identity checks the system itself.
+disk. Both routes give the same law type, the numerator R(s) as a callable
+and phi(0) as its top coefficient: R = C @ mass from the solve or, as an
+independent check, the product over the roots. A determinant identity checks
+the system itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -42,16 +45,16 @@ class BoundarySystem:
 
 @dataclass(frozen=True)
 class SupremumPmf:
-    """P(M = i) for i = 0..kappa-1, solve diagnostics and R(s) = C @ mass.
-
-    numerator (R, lowest degree first) is None for the root-product masses.
+    """P(M = i) for i = 0..kappa-1, solve diagnostics, the numerator R of G_M
+    as a callable on arrays of points, and phi(0), the top coefficient of R.
     """
 
     mass: np.ndarray
     residual: float
     imag_leak: float
     kappa: int
-    numerator: np.ndarray | None
+    numerator: Callable[[np.ndarray], np.ndarray]
+    phi0: float
 
     def __post_init__(self):
         object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
@@ -102,10 +105,13 @@ def solve_boundary_system(system: BoundarySystem) -> SupremumPmf:
         raise SingularSystem(f"boundary system is singular: {exc}") from None
     residual = float(np.max(np.abs(system.matrix @ sol - system.rhs)))
     leak = float(np.max(np.abs(sol.imag))) if sol.size else 0.0
-    if leak > TOL_REAL:
+    if not leak <= TOL_REAL:
         raise ImagLeak(leak, TOL_REAL)
     mass = sol.real
-    return SupremumPmf(mass, residual, leak, system.kappa, system.cdf @ mass)
+    coeffs = system.cdf @ mass
+    return SupremumPmf(
+        mass, residual, leak, system.kappa, lambda s: npoly.polyval(s, coeffs), coeffs[-1]
+    )
 
 
 def pgf_coefficients(values, n: int) -> tuple[np.ndarray, float]:
@@ -150,7 +156,7 @@ def root_product(dist: ClaimDistribution, kappa: int, roots: RootSet):
     margin = kappa - dist.mean()
 
     def numerator(s):
-        out = np.full(s.shape, margin, dtype=complex)
+        out = np.full(np.shape(s), margin, dtype=complex)
         for a in alphas:
             out *= (s - a) / (1.0 - a)
         return out
@@ -162,12 +168,15 @@ def sup_pmf_closed_form(dist: ClaimDistribution, char: CharPolynomial, roots: Ro
     """Boundary probabilities from the root product, without the linear solve.
 
     The first kappa coefficients of
-        G_M(s) = (kappa - E X) g(s) prod_j (s - alpha_j)/(1 - alpha_j) / Q1(s);
-    repeated roots enter the product with their multiplicity.
+        G_M(s) = (kappa - E X) g(s) prod_j (s - alpha_j)/(1 - alpha_j) / Q1(s),
+    and phi(0) = (kappa - E X) / prod_j (1 - alpha_j), the top coefficient of
+    the product; repeated roots enter it with their multiplicity.
     """
     kappa = char.kappa
-    mass, leak = sup_pgf_masses(root_product(dist, kappa, roots), char, kappa)
-    return SupremumPmf(mass=mass, residual=0.0, imag_leak=leak, kappa=kappa, numerator=None)
+    numerator = root_product(dist, kappa, roots)
+    mass, leak = sup_pgf_masses(numerator, char, kappa)
+    phi0 = ((kappa - dist.mean()) / np.prod(1.0 - roots.values_with_multiplicity())).real
+    return SupremumPmf(mass, 0.0, leak, kappa, numerator, phi0)
 
 
 def determinant_identity_error(system: BoundarySystem, roots: RootSet, x0: float) -> float:

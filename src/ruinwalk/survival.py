@@ -1,14 +1,15 @@
 """Survival probabilities: finite-time grid, ultimate-time table, generating function.
 
 Ultimate-time values come from the law of the walk supremum M: phi(u+1) =
-P(M <= u), and phi(0) is a cdf-weighted combination of the boundary masses.
-The masses themselves are read off the generating function
-G_M(s) = R(s) g(s) / Q1(s) by one FFT on a circle of radius r < 1, which
-needs no recurrence and so no stability horizon: roundoff is scaled by at
-most r^-u_max, a fixed factor. R comes with the solved masses, g and Q1 with
-the characteristic polynomial. The product over the unit-disk roots gives a
-second, independent numerator for the same inversion, and the pole expansion
-over the roots outside the disk a third, closed-form evaluation of the table.
+P(M <= u), and phi(0) is the top coefficient of the numerator R(s) of
+G_M(s) = R(s) g(s) / Q1(s). The masses are read off G_M by one FFT on a
+circle of radius r < 1, which needs no recurrence and so no stability
+horizon: roundoff is scaled by at most r^-u_max, a fixed factor. g and Q1
+come with the characteristic polynomial, R and phi(0) with the supremum law,
+from either route: the boundary solve or the product over the unit-disk
+roots, an independent second numerator read by the same table code. The
+pole expansion over the roots outside the disk gives a third, closed-form
+evaluation of the table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from numpy.polynomial import polynomial as npoly
 from .charpoly import CharPolynomial, RootSet, reduce_support
 from .distributions import ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
-from .supremum import TOL_REAL, SupremumPmf, root_product, sup_pgf_masses
+from .supremum import TOL_REAL, SupremumPmf, sup_pgf_masses, sup_pmf_closed_form
 
 # outside roots closer than this are too near a double pole for the
 # simple-pole tail expansion
@@ -99,7 +100,7 @@ def tail_expansion(sup: SupremumPmf, char: CharPolynomial, roots: RootSet) -> Ta
         qprime = npoly.polyval(rho, dq)
         if qprime == 0:
             return None
-        coeffs[k] = npoly.polyval(rho, sup.numerator) * g / qprime
+        coeffs[k] = sup.numerator(rho) * g / qprime
     unit = coeffs[0]
     if abs(unit - 1.0) > 1e-6:
         raise RecurrenceBlowup(
@@ -109,23 +110,14 @@ def tail_expansion(sup: SupremumPmf, char: CharPolynomial, roots: RootSet) -> Ta
     return TailExpansion(poles=poles_arr, coeffs=coeffs, unit_coeff=float(unit.real))
 
 
-def _solved_masses(sup: SupremumPmf, char: CharPolynomial, n: int) -> np.ndarray:
-    """P(M = 0..n-1) inverted from G_M, with R(s) = C @ mass from the solved masses."""
-    mass, _leak = sup_pgf_masses(lambda s: npoly.polyval(s, sup.numerator), char, n)
-    return mass
-
-
 def ultimate_survival_table(sup: SupremumPmf, char: CharPolynomial, u_max: int) -> SurvivalTable:
-    """phi(0)..phi(u_max) from the supremum pmf.
+    """phi(0)..phi(u_max) from either supremum law.
 
-    phi(0) = sum_i mass_i F_X(kappa-1-i), the top coefficient of R(s);
-    phi(u+1) is the partial sum of the masses P(M = 0..u), inverted from G_M
-    with the solved masses in R(s).
+    phi(0) is sup.phi0, the top coefficient of R(s); phi(u+1) is the partial
+    sum of the masses P(M = 0..u), inverted from G_M with sup.numerator as R.
     """
-    phi = np.empty(u_max + 1, dtype=float)
-    phi[0] = sup.numerator[-1]
-    phi[1:] = np.cumsum(_solved_masses(sup, char, u_max))
-    if np.any(phi < -TOL_REAL) or np.any(phi > 1.0 + TOL_REAL):
+    phi = np.r_[sup.phi0, np.cumsum(sup_pgf_masses(sup.numerator, char, u_max)[0])]
+    if not np.all((phi >= -TOL_REAL) & (phi <= 1.0 + TOL_REAL)):
         raise RecurrenceBlowup("survival table left [0, 1]")
     return SurvivalTable(phi=phi, method="pgf_fft")
 
@@ -135,16 +127,11 @@ def closed_form_initial_values(
 ) -> np.ndarray:
     """phi(0)..phi(kappa) from the unit-disk roots alone.
 
-    phi(0) = (kappa - E X) / prod_j (1 - alpha_j); the rest are partial sums
-    of the root-product supremum pmf `closed` (sup_pmf_closed_form). Repeated
-    roots count with multiplicity.
+    phi(0) = (kappa - E X) / prod_j (1 - alpha_j) is closed.phi0; the rest
+    are partial sums of the root-product supremum pmf `closed`
+    (sup_pmf_closed_form). Repeated roots count with multiplicity.
     """
-    kappa = closed.kappa
-    alphas = roots.values_with_multiplicity()
-    out = np.empty(kappa + 1, dtype=float)
-    out[0] = ((kappa - dist.mean()) / np.prod(1.0 - alphas)).real
-    out[1:] = np.cumsum(closed.mass)
-    return out
+    return np.r_[closed.phi0, np.cumsum(closed.mass)]
 
 
 def survival_gf(sup: SupremumPmf, dist: ClaimDistribution, kappa: int, s: complex) -> complex:
@@ -152,7 +139,7 @@ def survival_gf(sup: SupremumPmf, dist: ClaimDistribution, kappa: int, s: comple
     den = dist.pgf(s) - s**kappa
     if abs(den) <= 1e-12:
         raise NearPole(f"generating function evaluated within 1e-12 of a zero of G_X(s)-s^kappa at s={s}")
-    return npoly.polyval(s, sup.numerator) / den
+    return sup.numerator(s) / den
 
 
 def survival_gf_closed(
@@ -198,11 +185,11 @@ def survival_gf_coefficients(
 ) -> np.ndarray:
     """phi(1)..phi(u_max+1) from the unit-disk roots alone.
 
-    An independent route to the ultimate table: the same inversion of G_M,
-    with the root product in place of the solved masses.
+    An independent route to the ultimate table: the same table code, fed the
+    root-product law in place of the solved one.
     """
-    mass, _leak = sup_pgf_masses(root_product(dist, char.kappa, roots), char, u_max + 1)
-    return np.cumsum(mass)
+    closed = sup_pmf_closed_form(dist, char, roots)
+    return ultimate_survival_table(closed, char, u_max + 1).phi[1:]
 
 
 def extend_sup_pmf_stable(
@@ -214,7 +201,7 @@ def extend_sup_pmf_stable(
     """
     n = max(2 * char.kappa, 16)
     while True:
-        mass = _solved_masses(sup, char, n + 1)
+        mass = sup_pgf_masses(sup.numerator, char, n + 1)[0]
         remaining = 1.0 - float(mass.sum())
         if remaining < tail_target:
             return mass

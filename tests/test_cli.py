@@ -149,7 +149,8 @@ class TestPipeline:
         assert report.all_passed
 
     def test_u_max_below_kappa(self):
-        # no u has the recurrence's whole stencil in the table, so its check is vacuous
+        # the routes are read on phi(0..kappa), so the recurrence check has a
+        # stencil; the report holds phi(0..u_max)
         cfg = ModelConfig(kappa=3, dist=Geometric(P), u_max=1, t_max=5)
         report = run_model(cfg)
         assert report.survival.phi.size == 2
@@ -290,6 +291,53 @@ class TestPipeline:
         assert not check.passed, check
 
 
+    @pytest.mark.parametrize("u_max", [1, 5])
+    @pytest.mark.parametrize(
+        "dist, kappa",
+        [(FinitePmf((1.0 / 41.0,) * 41), 25), (Geometric(0.03), 50), (Geometric(P), 3)],
+        ids=["unif40_k25", "geom_k50", "geom_k3"],
+    )
+    def test_recurrence_catches_a_wrong_phi0_below_kappa(self, monkeypatch, dist, kappa, u_max):
+        # every route is read on phi(0..max(u_max, kappa)), so a check that
+        # shares no roots with the table covers phi(0) at every u_max
+        table = pipeline.ultimate_survival_table
+
+        def raised(*args):
+            good = table(*args)
+            phi = good.phi.copy()
+            phi[0] += 1e-7
+            return dataclasses.replace(good, phi=phi)
+
+        monkeypatch.setattr(pipeline, "ultimate_survival_table", raised)
+        report = run_model(ModelConfig(kappa=kappa, dist=dist, u_max=u_max, t_max=5))
+        assert report.survival.phi.size == u_max + 1
+        check = next(c for c in report.checks if c.name == "recurrence_fixed_point")
+        assert not check.passed, check
+
+    @pytest.mark.parametrize(
+        "name, spoil, check",
+        [
+            ("mc_survival", lambda est: dataclasses.replace(est, phi_hat=est.phi_hat * np.nan),
+             "mc_concordance_excess"),
+            ("survival_gf_closed", lambda value: value * np.nan, "gf_closed_agreement"),
+            # a NaN in phi0 reaches the fold first and propagates anyway
+            ("recurrent_sequence_limits", lambda lim: dataclasses.replace(lim, phi1=np.nan),
+             "sequence_limits_agreement"),
+        ],
+        ids=["mc", "gf_closed", "sequence_limits"],
+    )
+    def test_nan_fails_its_check(self, monkeypatch, name, spoil, check):
+        # NaN compares False with everything: a fold with Python's max drops it
+        route = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: spoil(route(*args, **kwargs)))
+        cfg = ModelConfig(
+            kappa=2, dist=Geometric(P), u_max=5, t_max=10, mc_paths=2000, mc_horizon=100
+        )
+        report = run_model(cfg, verify=True)
+        result = next(c for c in report.checks if c.name == check)
+        assert not result.passed, result
+
+
 class TestCliProcess:
     def test_example_run_writes_outputs(self, tmp_path):
         cfg = write_config(
@@ -369,6 +417,15 @@ class TestCliProcess:
         res = run_cli("--config", str(cfg))
         assert res.returncode == 2, res.stderr
         assert "config error" in res.stderr
+
+    def test_nan_pmf_entry_is_a_config_error(self, tmp_path):
+        # json reads NaN; the entry must not reach the net profit test as a nan mean
+        cfg = write_config(
+            tmp_path, {"kappa": 2, "dist": {"kind": "finite", "pmf": [float("nan"), 0.5, 0.5]}}
+        )
+        res = run_cli("--config", str(cfg))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error"), res.stderr
 
     def test_unknown_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"kappa": 1, "dist": {"kind": "finite", "pmf": [0.7, 0.3]}})

@@ -223,6 +223,11 @@ class TestConstructionAndConfig:
         with pytest.raises(ConfigError):
             Geometric(1.5)
 
+    def test_rejects_nan_entry(self):
+        # both `p < 0` and the sum test are False for NaN
+        with pytest.raises(ConfigError, match="entries must be finite"):
+            FinitePmf((float("nan"), 0.5, 0.5))
+
     def test_from_dict(self):
         d = distribution_from_dict({"kind": "geometric", "p": 0.336})
         assert isinstance(d, Geometric)

@@ -5,6 +5,7 @@ import pytest
 
 from ruinwalk.charpoly import build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import FinitePmf, Geometric
+from ruinwalk.errors import ImagLeak
 from ruinwalk.supremum import (
     build_boundary_system,
     cdf_toeplitz,
@@ -134,6 +135,12 @@ class TestSolve:
             assert sup.mass.min() >= -1e-8
             assert sup.mass.sum() <= 1.0 + 1e-10
             assert sup.mass[0] > 0.0
+
+    def test_nan_solution_is_an_imag_leak(self, geometric):
+        # `leak > TOL_REAL` is False for NaN, so the guard is written `not <=`
+        _c, _r, system, _sup = solve_model(geometric, 3)
+        with pytest.raises(ImagLeak):
+            solve_boundary_system(dataclasses.replace(system, rhs=system.rhs * np.nan))
 
     def test_moment_identity_after_solve(self, random_models):
         for dist, kappa, roots, _char in random_models[:60]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ruinwalk.charpoly import RootSet, build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import TRUNC_EPS, FinitePmf, Geometric
-from ruinwalk.errors import NearPole, UnsupportedKappa
+from ruinwalk.errors import NearPole, RecurrenceBlowup, UnsupportedKappa
 from ruinwalk.supremum import build_boundary_system, solve_boundary_system, sup_pmf_closed_form
 from ruinwalk.survival import (
     _claim_filter,
@@ -115,6 +117,40 @@ class TestUltimateTable:
             u *= 2
             assert u < 2**20
         assert 1.0 - tail.phi(np.array([float(u - 1)]))[0] <= 1e-3
+
+
+class TestEitherLaw:
+    """The solved and the root-product supremum laws run through the same code."""
+
+    MODELS = [("bernoulli", 1), ("geometric", 2), ("geometric", 3), ("double_root_dist", 3)]
+
+    @pytest.mark.parametrize("name, kappa", MODELS)
+    def test_closed_law_agrees_with_solved_law(self, request, name, kappa):
+        dist = request.getfixturevalue(name)
+        char, roots, sup = solve_model(dist, kappa)
+        closed = sup_pmf_closed_form(dist, char, roots)
+        u = np.arange(100)
+        solved, closed_tail = tail_expansion(sup, char, roots), tail_expansion(closed, char, roots)
+        np.testing.assert_allclose(closed_tail.phi(u), solved.phi(u), rtol=0, atol=1e-12)
+        for s in (0.3, -0.5 + 0.2j, 0.8j, 0.9 * np.exp(2j)):
+            gap = survival_gf(closed, dist, kappa, s) - survival_gf(sup, dist, kappa, s)
+            assert abs(gap) <= 1e-12
+        extended = extend_sup_pmf_stable(sup, char)
+        np.testing.assert_allclose(extend_sup_pmf_stable(closed, char), extended, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ultimate_survival_table(closed, char, 50).phi,
+            ultimate_survival_table(sup, char, 50).phi,
+            rtol=0,
+            atol=1e-12,
+        )
+        assert abs(closed.phi0 - sup.phi0) <= 1e-12
+
+    def test_nan_table_is_rejected(self, geometric):
+        # a range test written `phi < lo or phi > hi` is False for NaN
+        char, _roots, sup = solve_model(geometric, 2)
+        spoilt = dataclasses.replace(sup, numerator=lambda s: sup.numerator(s) * np.nan)
+        with pytest.raises(RecurrenceBlowup, match="left"):
+            ultimate_survival_table(spoilt, char, 5)
 
 
 class TestStabilityMachinery:
