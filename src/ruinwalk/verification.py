@@ -1,14 +1,13 @@
 """Independent verification paths: Monte Carlo, stationarity, sequence limits.
 
 Everything here avoids the analytic solve chain on purpose: walks are
-simulated with integer arithmetic and counter-based RNG streams, the
+simulated with integer arithmetic on keyed RNG streams, the
 supremum's stationarity is checked empirically, and for premium rate 2 the
 survival initial values are recovered from ratios of recurrent sequences.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,8 +22,9 @@ from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
 
 _CHUNK = 65_536
-_BLOCK = 192
-_SLICE = 512
+_SLICE = 98_304  # draws per slice of a chunk's stream, rounded down to whole steps
+# chance that mc_concordance_excess fails a correct model, per run
+MC_FALSE_ALARM = 1e-6
 
 # where the generating-function identity is sampled: 20 points on |s| = 0.9
 IDENTITY_POINTS = 0.9 * np.exp(1j * (2.0 * np.pi * np.arange(20) / 20))
@@ -57,13 +57,14 @@ class SequenceLimits:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Counter-based stream for one fixed-size path chunk.
+    """The stream of one fixed-size path chunk: SFC64 keyed by (seed, chunk).
 
     Chunking is fixed at 65536 paths regardless of how work is distributed,
     so path p is reproducible from (seed, p) by regenerating chunk p // 65536.
+    SeedSequence hashes the key, so neighbouring keys get unrelated streams.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _effective_horizon(dist: ClaimDistribution, kappa: int, horizon: int) -> int:
@@ -75,48 +76,21 @@ def _effective_horizon(dist: ClaimDistribution, kappa: int, horizon: int) -> int
     return horizon
 
 
-def _raw_slices(
-    dist: ClaimDistribution,
-    rng: np.random.Generator,
-    n_paths: int,
-    horizon: int,
-    buffers: np.ndarray,
-):
-    """The chunk's raw draws in stream order: (lo, hi, raw) per slice.
+def _raw_slices(dist: ClaimDistribution, rng: np.random.Generator, n_paths: int, horizon: int):
+    """The chunk's raw draws in stream order, whole time steps at a time.
 
-    Each block of up to _BLOCK steps is one path-major segment of the stream,
-    (n_paths, b) in C order, drawn in consecutive slices of up to
-    _SLICE * _BLOCK draws: _SLICE paths of a full block, more paths of a
-    shorter one. The slices alternate between the two rows of `buffers`, so
-    a slice's `raw` stays valid until the slice after next is drawn.
+    Draw t * n_paths + p is path p's step t. A slice holds the next k steps
+    of every path, (k, n_paths) in C order, with k = _SLICE // n_paths (at
+    least 1, fewer in the last slice). The generator fills an array in the
+    order it would draw it whole, so where the slices fall does not change
+    any draw. All slices share one buffer: a slice is valid until the next
+    one is drawn.
     """
-    done = 0
-    index = 0
-    while done < horizon:
-        b = min(_BLOCK, horizon - done)
-        rows = _SLICE * _BLOCK // b
-        for lo in range(0, n_paths, rows):
-            hi = min(lo + rows, n_paths)
-            raw = buffers[index % 2, : (hi - lo) * b].reshape(hi - lo, b)
-            yield lo, hi, dist.draw(rng, raw)
-            index += 1
-        done += b
-
-
-def _prefetched(slices):
-    """The items of `slices`, each drawn on a second thread while the caller
-    works on the one before.
-
-    Item i + 2, which reuses item i's buffer, is only asked for once the
-    caller has come back for item i + 1, that is once it is done with item
-    i. An error while drawing reaches the caller through `result()`.
-    Closing the generator joins the thread.
-    """
-    with ThreadPoolExecutor(max_workers=1) as thread:
-        ahead = thread.submit(next, slices, None)
-        while (item := ahead.result()) is not None:
-            ahead = thread.submit(next, slices, None)
-            yield item
+    steps = max(1, _SLICE // n_paths)
+    buffer = np.empty(steps * n_paths, dtype=float)
+    for done in range(0, horizon, steps):
+        k = min(steps, horizon - done)
+        yield dist.draw(rng, buffer[: k * n_paths].reshape(k, n_paths))
 
 
 def _simulate_suprema_chunk(
@@ -125,33 +99,23 @@ def _simulate_suprema_chunk(
     rng: np.random.Generator,
     n_paths: int,
     horizon: int,
-    *,
-    draw_ahead: bool,
 ):
     """Unclipped running suprema of the centred walk for one chunk of paths.
 
     Consumption of the stream is a fixed function of (n_paths, horizon), so a
     path's draws depend only on its chunk and position, never on the fate of
-    other paths. The raw draws come from `_raw_slices`, on a second thread
-    when `draw_ahead`; either way this thread maps them to claims, and the
-    subtract, cumsum and max of a slice stay in cache.
+    other paths. Each slice from `_raw_slices` is mapped to claims at once;
+    then each step is one in-place add into the paths' positions and one
+    max into their suprema, on n_paths-wide integer vectors.
     """
     running = np.zeros(n_paths, dtype=np.int64)
     best = np.full(n_paths, np.iinfo(np.int64).min, dtype=np.int64)
-    # allocated here, not on the drawing thread: what that thread's malloc
-    # arena takes stays with the process after the thread ends, so peak RSS
-    # grew with every call
-    buffers = np.empty((2, _SLICE * _BLOCK), dtype=float)
-    slices = _raw_slices(dist, rng, n_paths, horizon, buffers)
-    drawing = contextlib.closing(_prefetched(slices)) if draw_ahead else contextlib.nullcontext(slices)
-    with drawing as drawn:
-        for lo, hi, raw in drawn:
-            draws = dist.claims(raw)
-            np.subtract(draws, kappa, out=draws)
-            draws[:, 0] += running[lo:hi]
-            np.cumsum(draws, axis=1, out=draws)
-            np.maximum(best[lo:hi], draws.max(axis=1), out=best[lo:hi])
-            running[lo:hi] = draws[:, -1]
+    for raw in _raw_slices(dist, rng, n_paths, horizon):
+        steps = dist.claims(raw)
+        np.subtract(steps, kappa, out=steps)
+        for step in steps:
+            np.add(running, step, out=running)
+            np.maximum(best, running, out=best)
     return best
 
 
@@ -166,18 +130,13 @@ def _all_suprema(
 
     Chunk streams are keyed (seed, chunk index), so the result does not depend
     on which thread runs a chunk. Up to one chunk per CPU runs at a time, each
-    on its own thread; a single one runs on this thread. A chunk draws ahead
-    on a second thread only when a CPU is left over for that thread.
+    on its own thread; a single one runs on this thread.
     """
     sizes = [min(_CHUNK, paths - lo) for lo in range(0, paths, _CHUNK)]
-    cpus = len(os.sched_getaffinity(0))
-    threads = min(len(sizes), cpus)
-    draw_ahead = cpus >= 2 * threads
+    threads = min(len(sizes), len(os.sched_getaffinity(0)))
 
     def chunk(i: int) -> np.ndarray:
-        return _simulate_suprema_chunk(
-            dist, kappa, _chunk_rng(seed, i), sizes[i], horizon, draw_ahead=draw_ahead
-        )
+        return _simulate_suprema_chunk(dist, kappa, _chunk_rng(seed, i), sizes[i], horizon)
 
     if threads == 1:
         return np.concatenate([chunk(i) for i in range(len(sizes))])
@@ -203,8 +162,9 @@ def mc_survival(
     u_arr = np.asarray(sorted(set(int(u) for u in u_list)), dtype=np.int64)
     best = mc_walk_suprema(dist, kappa, paths, horizon, seed)
     phi_hat = (best[None, :] < u_arr[:, None]).mean(axis=1)
-    # floored at 1/paths: when no path (or every path) survives, the plug-in
-    # error is 0, and 3 std_err becomes the rule-of-three bound 3/paths
+    # the reported plug-in error, floored at 1/paths: when no path (or every
+    # path) survives it is 0, yet the estimate is not exact. The concordance
+    # check does not use it: see concordance_bands
     std_err = np.maximum(np.sqrt(phi_hat * (1.0 - phi_hat) / paths), 1.0 / paths)
     return McEstimate(
         u=u_arr,
@@ -225,8 +185,9 @@ def mc_walk_suprema(
 ) -> np.ndarray:
     """Horizon-truncated samples of the unclipped walk supremum.
 
-    Integer walk state throughout; fixed Philox chunking makes the result
-    bit-reproducible and independent of the thread count.
+    Integer walk state throughout. Each chunk of 65536 paths reads its own
+    keyed SFC64 stream time-major, so the result is bit-reproducible and
+    independent of the thread count.
     """
     check_net_profit(dist, kappa).require_ok()
     return _all_suprema(dist, kappa, paths, _effective_horizon(dist, kappa, horizon), seed)
@@ -428,3 +389,45 @@ def horizon_bias_bound(
     grid = finite_time_grid(dist, kappa, int(u_arr.max()), horizon, state_cap=state_cap)
     bias = np.array([grid.value(u, horizon) - phi_exact[u] for u in u_arr])
     return np.maximum(bias, 0.0)
+
+
+def concordance_bands(paths: int, phi_horizon: np.ndarray):
+    """Per probe, the band [low, high] of surviving fractions that a correct
+    simulation stays inside at every probe at once, but for a chance of
+    about MC_FALSE_ALARM.
+
+    A path survives level u with chance phi(u, T), given in `phi_horizon`,
+    so the count of survivors is Binomial(paths, phi(u, T)). Each of the k
+    probes gets the Sidak level 1 - (1 - alpha)^(1/k), alpha = MC_FALSE_ALARM,
+    half in each tail of the exact binomial law. By the union bound the
+    family misses with chance at most -log(1 - alpha), whatever the
+    dependence between the probes.
+    """
+    phi_horizon = np.clip(np.asarray(phi_horizon, dtype=float), 0.0, 1.0)
+    level = -math.expm1(math.log1p(-MC_FALSE_ALARM) / phi_horizon.size)
+    counts = np.array([_binomial_acceptance(paths, p, level) for p in phi_horizon])
+    return counts[:, 0] / paths, counts[:, 1] / paths
+
+
+def _binomial_acceptance(n: int, p: float, level: float) -> tuple[float, float]:
+    """The largest a and smallest b with P(X < a) <= level / 2 and
+    P(X > b) <= level / 2, for X ~ Binomial(n, p).
+
+    The pmf is summed on mean -+ (12 sd + 30), normalised there: by
+    Bernstein's inequality the mass outside is below 1e-19, where sd is the
+    binomial standard deviation.
+    """
+    if not 0.0 < p < 1.0:  # a certain count, or NaN, which fails the check
+        return n * p, n * p
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    lo = max(0, math.floor(mean - 12.0 * sd - 30.0))
+    hi = min(n, math.ceil(mean + 12.0 * sd + 30.0))
+    k = np.arange(lo, hi)
+    # log P(X = k + 1) - log P(X = k)
+    log_pmf = np.r_[0.0, np.cumsum(np.log((n - k) * p / ((k + 1) * (1.0 - p))))]
+    pmf = np.exp(log_pmf - log_pmf.max())
+    pmf /= pmf.sum()
+    tail = 0.5 * level
+    below = np.cumsum(pmf)  # P(X <= k)
+    above = np.cumsum(pmf[::-1])[::-1]  # P(X >= k)
+    return lo + int(np.searchsorted(below, tail, side="right")), hi - int(np.count_nonzero(above <= tail))

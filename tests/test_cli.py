@@ -290,6 +290,36 @@ class TestPipeline:
         check = next(c for c in report.checks if c.name == "mc_concordance_excess")
         assert not check.passed, check
 
+    def test_a_three_sigma_miss_is_inside_its_band(self):
+        # at this seed one estimate lies 3.45 standard errors from phi(u, T):
+        # outside 3 plug-in standard errors plus the bias, the rule before
+        # the bands, but inside the band of a 1e-6 false-alarm rate
+        cfg = ModelConfig(
+            kappa=2, dist=FinitePmf((0.0, 0.6, 0.4)), u_max=60, t_max=20,
+            mc_paths=16_384, seed=5200,
+        )
+        report = run_model(cfg, verify=True)
+        est, phi = report.mc, report.survival.phi
+        assert np.max(np.abs(est.phi_hat - phi[est.u]) - (3.0 * est.std_err + report.mc_bias)) > 0
+        assert report.all_passed
+
+    @pytest.mark.parametrize("delta", [0.03, -0.03])
+    def test_concordance_catches_a_table_off_by_more_than_its_band(self, monkeypatch, delta):
+        # no probe of the geometric law at kappa=3 has phi(u, T) at 0 or 1;
+        # at 16 384 paths its bands reach 0.0203 either side (phi(0, T) is
+        # about 0.48), so an error of 0.03 is wider than every band
+        table = pipeline.ultimate_survival_table
+
+        def shifted(*args):
+            good = table(*args)
+            return dataclasses.replace(good, phi=good.phi + delta)
+
+        monkeypatch.setattr(pipeline, "ultimate_survival_table", shifted)
+        cfg = ModelConfig(kappa=3, dist=Geometric(P), u_max=20, t_max=5, mc_paths=16_384, seed=3)
+        report = run_model(cfg, verify=True)
+        check = next(c for c in report.checks if c.name == "mc_concordance_excess")
+        assert not check.passed, check
+
 
     @pytest.mark.parametrize("u_max", [1, 5])
     @pytest.mark.parametrize(
@@ -319,12 +349,14 @@ class TestPipeline:
         [
             ("mc_survival", lambda est: dataclasses.replace(est, phi_hat=est.phi_hat * np.nan),
              "mc_concordance_excess"),
+            # a NaN phi(u, T) gives a NaN band, not a crash
+            ("horizon_bias_bound", lambda bias: bias * np.nan, "mc_concordance_excess"),
             ("survival_gf_closed", lambda value: value * np.nan, "gf_closed_agreement"),
             # a NaN in phi0 reaches the fold first and propagates anyway
             ("recurrent_sequence_limits", lambda lim: dataclasses.replace(lim, phi1=np.nan),
              "sequence_limits_agreement"),
         ],
-        ids=["mc", "gf_closed", "sequence_limits"],
+        ids=["mc", "mc_bias", "gf_closed", "sequence_limits"],
     )
     def test_nan_fails_its_check(self, monkeypatch, name, spoil, check):
         # NaN compares False with everything: a fold with Python's max drops it
@@ -592,11 +624,11 @@ class TestRendering:
 
     # the same for a --verify run, Monte Carlo and sequence limits included
     VERIFY_DIGESTS = {
-        "report.txt": "f19655fbb69fef960cf730cba059204b94bb7b5b0c1a6f2096a0ca383b23f0c9",
+        "report.txt": "8ca02014a0fb4fd0b3418906b51a09fdba3d435eaeae831531e07abe6c31ac11",
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",
-        "verification.csv": "67a5b7888822cdc4206641760490d9420273822d2be30ee919cf9f5c5da3322c",
+        "verification.csv": "c4f53e7bed32b6597550c11043b7421930a5d586447338ce7e67f44c6e2531cc",
     }
 
     def test_verify_output_digests(self, tmp_path):

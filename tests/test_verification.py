@@ -1,9 +1,11 @@
 import faulthandler
 import hashlib
 import itertools
+import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,12 +27,12 @@ from ruinwalk.survival import (
 )
 from ruinwalk.verification import (
     IDENTITY_POINTS,
-    _BLOCK,
     _CHUNK,
-    _SLICE,
+    _binomial_acceptance,
     _boundary_value_solve,
     _chunk_rng,
     _outside_root,
+    concordance_bands,
     mc_stationarity_distance,
     mc_survival,
     mc_walk_suprema,
@@ -83,6 +85,45 @@ class TestMcSurvival:
         assert est.std_err[0] == pytest.approx(np.sqrt(p * (1 - p) / 10_000), abs=1e-12)
 
 
+def _exact_acceptance(n, p, level):
+    """`_binomial_acceptance` from the binomial tails in rational arithmetic."""
+    p, tail = Fraction(p), Fraction(level) / 2
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    below = itertools.accumulate(pmf)  # P(X <= k)
+    above = itertools.accumulate(reversed(pmf))  # P(X >= n - k)
+    return sum(c <= tail for c in below), n - sum(c <= tail for c in above)
+
+
+class TestConcordanceBands:
+    def test_acceptance_matches_exact_tails(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            p = float(rng.choice([rng.random(), rng.random() ** 12, 1.0 - rng.random() ** 12]))
+            level = float(rng.choice([2e-7, 1e-3, 0.07]))
+            assert _binomial_acceptance(n, p, level) == _exact_acceptance(n, p, level), (n, p, level)
+
+    def test_certain_probes_accept_one_count(self):
+        assert _binomial_acceptance(16_384, 1.0, 2e-7) == (16_384, 16_384)
+        assert _binomial_acceptance(16_384, 0.0, 2e-7) == (0, 0)
+
+    def test_benchmark_width_at_one_half(self):
+        # five probes at family level 1e-6 take 2e-7 each: 333 of 16 384
+        # paths either side of phi(u, T) = 0.5, about 5.2 standard errors
+        low, high = concordance_bands(16_384, np.full(5, 0.5))
+        np.testing.assert_array_equal(low, (8192 - 333) / 16_384)
+        np.testing.assert_array_equal(high, (8192 + 333) / 16_384)
+
+    def test_sidak_split(self):
+        # one probe keeps the whole level; five split it
+        one = concordance_bands(16_384, np.array([0.5]))
+        five = concordance_bands(16_384, np.full(5, 0.5))
+        level = -math.expm1(math.log1p(-1e-6) / 5)
+        assert (one[0][0] * 16_384, one[1][0] * 16_384) == _binomial_acceptance(16_384, 0.5, 1e-6)
+        assert (five[0][0] * 16_384, five[1][0] * 16_384) == _binomial_acceptance(16_384, 0.5, level)
+        assert five[1][0] > one[1][0]
+
+
 class TestSupremumSamples:
     def test_walk_suprema_reproducible(self, geometric):
         s1 = mc_walk_suprema(geometric, 2, 20_000, 200, seed=1)
@@ -109,18 +150,18 @@ UNIFORM_40 = FinitePmf(tuple([1.0 / 41.0] * 41))
 class TestStreamConsumption:
     """Pins which draws of each (seed, chunk) stream make up each path.
 
-    The digests are those of a kernel that draws each 192-step block for all
-    paths of a chunk at once; a kernel change that reorders, drops or adds
-    draws changes them.
+    The digests are those of a kernel that reads each chunk's SFC64 stream
+    time-major, draw t * n + p as path p's step t; a kernel change that
+    reorders, drops or adds draws changes them.
     """
 
     @pytest.mark.parametrize(
         "dist, kappa, paths, horizon, seed, digest",
         [
             (Geometric(GEOMETRIC_P), 2, 2 * _CHUNK + 1000, 40, 5,
-             "681c23b98c24a443e655b2b5dc8faa45837173b2b7db662527284ea363df63f0"),
+             "794e55d8a8c000e6b14381f55ab1de09a7c45ff86abb6c15ea9b277bde551f4e"),
             (UNIFORM_40, 25, 2 * _CHUNK + 1000, 40, 5,
-             "5c85bf5852543362252c237f3c85dc0b987e9a7fa8bbaf12f48967cbcff86832"),
+             "393d06ceb04971527c4fdbe240985bb0ba41bc88a0b458d07ed7616219d0487e"),
         ],
         ids=["geometric", "finite"],
     )
@@ -128,12 +169,11 @@ class TestStreamConsumption:
         self, monkeypatch, dist, kappa, paths, horizon, seed, digest
     ):
         # 1 CPU runs the three chunks one after another on this thread, 2 to
-        # 4 run them on chunk threads, and 6 leaves each chunk thread a CPU
-        # for its draw-ahead thread; a short switch interval interleaves them
+        # 4 run them on chunk threads; a short switch interval interleaves them
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for cpus in (1, 2, 3, 4, 6):
+            for cpus in (1, 2, 3, 4):
                 _cpus(monkeypatch, cpus)
                 assert _digest(mc_walk_suprema(dist, kappa, paths, horizon, seed)) == digest, cpus
         finally:
@@ -143,34 +183,26 @@ class TestStreamConsumption:
         "dist, kappa, digest",
         [
             (Geometric(GEOMETRIC_P), 3,
-             "309f5b6ffa5e3c4930eee1a3d4ddfceeae9f95134bb54c562bd7c9add6930ffb"),
+             "5ac10ad5a4a874f16a5356f023cbfb0d5026ffd281a80eeb73ffc339cdc9fe96"),
             (UNIFORM_40, 25,
-             "3604f70182cd6eb78b7ffc385ebe8b016129c980b1007773986a36c72f2f9053"),
+             "3836befdef2256aaeceda8b023a4c6dff814f9b1c742d036ae6b9a7900313b7a"),
         ],
         ids=["geometric", "finite"],
     )
     def test_multi_block_horizon_matches_digest(self, dist, kappa, digest):
-        # 500 steps cross two block boundaries; 3000 paths end in a partial slice
+        # 3000 paths take 32 steps per slice, so 500 steps end in a partial slice
         assert _digest(mc_walk_suprema(dist, kappa, 3000, 500, 17)) == digest
 
 
-def _serial_suprema(dist, kappa, rng, n_paths, horizon):
-    """Oracle: the kernel as one serial loop, each slice drawn by `sample` where it is used."""
-    running = np.zeros(n_paths, dtype=np.int64)
-    best = np.full(n_paths, np.iinfo(np.int64).min, dtype=np.int64)
-    done = 0
-    while done < horizon:
-        b = min(_BLOCK, horizon - done)
-        for lo in range(0, n_paths, _SLICE):
-            hi = min(lo + _SLICE, n_paths)
-            draws = dist.sample(rng, (hi - lo, b))
-            np.subtract(draws, kappa, out=draws)
-            draws[:, 0] += running[lo:hi]
-            np.cumsum(draws, axis=1, out=draws)
-            np.maximum(best[lo:hi], draws.max(axis=1), out=best[lo:hi])
-            running[lo:hi] = draws[:, -1]
-        done += b
-    return best
+def _oracle_suprema(dist, kappa, paths, horizon, seed):
+    """Oracle: per chunk, every claim drawn at once by `sample` as (horizon, n),
+    then the walk as a cumulative sum over time."""
+    best = []
+    for chunk, lo in enumerate(range(0, paths, _CHUNK)):
+        n = min(_CHUNK, paths - lo)
+        claims = dist.sample(_chunk_rng(seed, chunk), (horizon, n))
+        best.append(np.cumsum(claims - kappa, axis=0).max(axis=0))
+    return np.concatenate(best)
 
 
 def _cpus(monkeypatch, count):
@@ -178,50 +210,52 @@ def _cpus(monkeypatch, count):
 
 
 class TestPipelinedKernel:
-    """The draws run on a second thread on a multi-CPU host, inline on one CPU;
-    both give the serial loop's suprema byte for byte."""
+    """Each chunk maps and walks its stream a slice at a time, inline on one
+    CPU and on chunk threads on several; either way it gives the oracle's
+    suprema byte for byte."""
 
     @given(
         law=st.sampled_from([(Geometric(GEOMETRIC_P), (2, 5)), (UNIFORM_40, (21, 30))]),
-        paths=st.integers(1, 1500),
-        horizon=st.integers(1, 450),
+        # small runs, and runs that end just short of, on or past a chunk boundary
+        size=st.one_of(
+            st.tuples(st.integers(1, 1500), st.integers(1, 450)),
+            st.tuples(st.integers(_CHUNK - 2, 2 * _CHUNK + 2), st.integers(1, 8)),
+        ),
         kappa_pick=st.integers(0, 3),
         seed=st.integers(0, 2**32),
         cpus=st.sampled_from([1, 2]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matches_serial_oracle(self, law, paths, horizon, kappa_pick, seed, cpus):
+    def test_matches_serial_oracle(self, law, size, kappa_pick, seed, cpus):
         dist, (lo, hi) = law
         kappa = min(lo + kappa_pick, hi)
+        paths, horizon = size
         with pytest.MonkeyPatch.context() as mp:
             _cpus(mp, cpus)
             got = mc_walk_suprema(dist, kappa, paths, horizon, seed)
-        expected = _serial_suprema(dist, kappa, _chunk_rng(seed, 0), paths, horizon)
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == _oracle_suprema(dist, kappa, paths, horizon, seed).tobytes()
 
-    @pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1)])
-    def test_thread_only_with_several_cpus(self, monkeypatch, cpus, threads):
+    @pytest.mark.parametrize("dist, kappa", [(Geometric(GEOMETRIC_P), 2), (UNIFORM_40, 25)],
+                             ids=["geometric", "finite"])
+    @pytest.mark.parametrize("paths", [1, 3, 700, _CHUNK + 5])
+    def test_slice_size_moves_no_draw(self, monkeypatch, dist, kappa, paths):
+        # slices of 1 draw hold one step; slices of 7 hold 7 steps of one
+        # path and 2 of three; the default holds 140 steps of 700 paths
+        expected = mc_walk_suprema(dist, kappa, paths, 300, 8).tobytes()
+        for size in (1, 7):
+            monkeypatch.setattr(verification, "_SLICE", size)
+            assert mc_walk_suprema(dist, kappa, paths, 300, 8).tobytes() == expected, size
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_thread_only_with_several_cpus(self, monkeypatch, cpus):
         _cpus(monkeypatch, cpus)
-        started = []
-        prefetched = verification._prefetched
-
-        def counted(slices):
-            started.append(1)
-            return prefetched(slices)
-
-        monkeypatch.setattr(verification, "_prefetched", counted)
+        # one chunk walks on the calling thread
         one_chunk = _RecordsWalkers(UNIFORM_40.probabilities)
         mc_walk_suprema(one_chunk, 25, 700, 300, 4)
-        # one chunk walks on the calling thread, drawing ahead on a second
-        # thread when there is a second CPU
-        assert len(started) == threads
         assert one_chunk.walkers == {threading.get_ident()}
-        # two chunks leave no CPU over on one or two CPUs, so neither draws
-        # ahead; on two CPUs each walks on a chunk thread
-        started.clear()
+        # two chunks walk on this thread on one CPU, each on a chunk thread on two
         two_chunks = _RecordsWalkers(UNIFORM_40.probabilities)
         mc_walk_suprema(two_chunks, 25, _CHUNK + 10, 2, 4)
-        assert started == []
         assert (threading.get_ident() in two_chunks.walkers) == (cpus == 1)
 
 
@@ -253,10 +287,10 @@ class _MapFailsOnThirdSlice(FinitePmf):
 
 
 class _DrawFailsOnThirdSlice:
-    """Stands in for a chunk's Generator; its third draw raises."""
+    """Stands in for a chunk's Generator, the kernel's own; its third draw raises."""
 
     def __init__(self, seed, chunk_index):
-        self._rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+        self._rng = _chunk_rng(seed, chunk_index)
         self._draws = itertools.count(1)
 
     def random(self, size=None, out=None):
@@ -266,8 +300,8 @@ class _DrawFailsOnThirdSlice:
 
 
 class TestThreadHygiene:
-    """An error on either side of the thread reaches the caller, and the
-    thread is gone when it does."""
+    """An error while drawing or mapping reaches the caller, from this thread
+    or a chunk thread, and no thread is left when it does."""
 
     @pytest.fixture(autouse=True)
     def _no_hang(self, monkeypatch):
@@ -276,10 +310,12 @@ class TestThreadHygiene:
         yield
         faulthandler.cancel_dump_traceback_later()
 
-    def _raises(self, dist, message, paths=2 * _SLICE + 100):
+    def _raises(self, dist, message, paths=1000):
+        # 1000 paths take 98 steps per slice, a full chunk 1: either way
+        # 300 steps make more than three slices
         before = threading.active_count()
         with pytest.raises(_Boom, match=message) as caught:
-            mc_walk_suprema(dist, 25, paths, 3 * _BLOCK, 7)
+            mc_walk_suprema(dist, 25, paths, 300, 7)
         # the traceback still holds the kernel's frame: the thread must be
         # joined before the error leaves the kernel, not when it is collected
         assert caught.tb is not None
@@ -302,7 +338,7 @@ class TestThreadHygiene:
 
     def test_no_thread_left_after_success(self):
         before = threading.active_count()
-        mc_walk_suprema(UNIFORM_40, 25, 2 * _SLICE + 100, 3 * _BLOCK, 7)
+        mc_walk_suprema(UNIFORM_40, 25, _CHUNK + 10, 300, 7)
         assert threading.active_count() == before
 
 
