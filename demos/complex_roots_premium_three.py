@@ -14,6 +14,7 @@ from ruinwalk import (
     build_characteristic,
     find_unit_disk_roots,
     solve_boundary_system,
+    sup_pmf_closed_form,
     survival_gf,
     survival_gf_coefficients,
     ultimate_survival_table,
@@ -42,7 +43,7 @@ print("\nsurvival table phi(0..10):")
 print(np.round(table.phi, 7))
 
 # the complex parts cancel: phi values are partial sums of a real pmf
-coeffs = survival_gf_coefficients(dist, char, 9, roots=roots)
+coeffs = survival_gf_coefficients(sup_pmf_closed_form(dist, char, roots), char, 9)
 print("\nroot-product route, phi(1..10):")
 print(np.round(coeffs, 7))
 print("max disagreement:", float(np.max(np.abs(coeffs - table.phi[1:11]))))

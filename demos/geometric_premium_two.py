@@ -43,7 +43,7 @@ sup = solve_boundary_system(system)
 table = ultimate_survival_table(sup, char, 300)
 print(f"route 1 (linear system):      phi(0) = {table.phi[0]:.10f}, phi(1) = {table.phi[1]:.10f}")
 
-closed = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)
+closed = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots))
 print(f"route 2 (root products):      phi(0) = {closed[0]:.10f}, phi(1) = {closed[1]:.10f}")
 
 limits = recurrent_sequence_limits(dist)

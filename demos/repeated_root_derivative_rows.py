@@ -16,6 +16,7 @@ from ruinwalk import (
     build_characteristic,
     find_unit_disk_roots,
     solve_boundary_system,
+    sup_pmf_closed_form,
     survival_gf_coefficients,
     ultimate_survival_table,
 )
@@ -40,7 +41,7 @@ print("\nsupremum pmf:", np.round(sup.mass, 12))
 table = ultimate_survival_table(sup, char, 6)
 print("phi(0) =", table.phi[0], " and phi(u) = 1 for u >= 1:", table.phi[1:])
 
-coeffs = survival_gf_coefficients(dist, char, 30, roots=roots)
+coeffs = survival_gf_coefficients(sup_pmf_closed_form(dist, char, roots), char, 30)
 print("\ngenerating function = 1/(1-s): coefficient deviation through order 30:",
       float(np.max(np.abs(coeffs - 1.0))))
 

@@ -208,7 +208,7 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
     timings["table"] = time.perf_counter() - t
 
     phi = table.phi
-    coeffs = survival_gf_coefficients(dist, char, length, roots=roots)
+    coeffs = survival_gf_coefficients(closed, char, length)
     diff = np.max(np.abs(coeffs[:-1] - phi[1:]))
     checks.append(Check.leq("table_vs_root_product", float(diff), 1e-9))
 
@@ -217,7 +217,7 @@ def run_model(config: ModelConfig, *, verify: bool = False) -> RunReport:
         diff = np.max(np.abs(tail.phi(np.arange(length)) - phi[1:]))
         checks.append(Check.leq("table_vs_pole_expansion", float(diff), 1e-9))
 
-    init = closed_form_initial_values(closed, roots, dist)
+    init = closed_form_initial_values(closed)
     diff = float(np.max(np.abs(init - phi[: kappa + 1])))
     checks.append(Check.leq("closed_form_initial_values", diff, 1e-9))
 

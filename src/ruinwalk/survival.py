@@ -7,9 +7,10 @@ circle of radius r < 1, which needs no recurrence and so no stability
 horizon: roundoff is scaled by at most r^-u_max, a fixed factor. g and Q1
 come with the characteristic polynomial, R and phi(0) with the supremum law,
 from either route: the boundary solve or the product over the unit-disk
-roots, an independent second numerator read by the same table code. The
-pole expansion over the roots outside the disk gives a third, closed-form
-evaluation of the table.
+roots, an independent second numerator read by the same table code. This
+module only reads the laws that `supremum` builds; a run builds each once.
+The pole expansion over the roots outside the disk gives a third,
+closed-form evaluation of the table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from .charpoly import CharPolynomial, RootSet, reduce_support
 from .distributions import ClaimDistribution
 from .errors import NearPole, RecurrenceBlowup, UnsupportedKappa
-from .supremum import TOL_REAL, SupremumPmf, sup_pgf_masses, sup_pmf_closed_form
+from .supremum import TOL_REAL, SupremumPmf, sup_pgf_masses
 
 # outside roots closer than this are too near a double pole for the
 # simple-pole tail expansion
@@ -122,9 +123,7 @@ def ultimate_survival_table(sup: SupremumPmf, char: CharPolynomial, u_max: int) 
     return SurvivalTable(phi=phi, method="pgf_fft")
 
 
-def closed_form_initial_values(
-    closed: SupremumPmf, roots: RootSet, dist: ClaimDistribution
-) -> np.ndarray:
+def closed_form_initial_values(closed: SupremumPmf) -> np.ndarray:
     """phi(0)..phi(kappa) from the unit-disk roots alone.
 
     phi(0) = (kappa - E X) / prod_j (1 - alpha_j) is closed.phi0; the rest
@@ -180,15 +179,15 @@ def survival_gf_closed(
     return (2.0 - dist.mean()) / den
 
 
-def survival_gf_coefficients(
-    dist: ClaimDistribution, char: CharPolynomial, u_max: int, *, roots: RootSet
-) -> np.ndarray:
+def survival_gf_coefficients(closed: SupremumPmf, char: CharPolynomial, u_max: int) -> np.ndarray:
     """phi(1)..phi(u_max+1) from the unit-disk roots alone.
 
     An independent route to the ultimate table: the same table code, fed the
-    root-product law in place of the solved one.
+    root-product law `closed` (sup_pmf_closed_form) in place of the solved
+    one. A one-line reader of `ultimate_survival_table`, kept as a named
+    function because the benchmark tracer wraps it by this name in
+    `ruinwalk.pipeline`.
     """
-    closed = sup_pmf_closed_form(dist, char, roots)
     return ultimate_survival_table(closed, char, u_max + 1).phi[1:]
 
 

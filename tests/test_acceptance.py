@@ -144,7 +144,7 @@ def test_criterion_2_geometric_premium_two_three_routes(geometric, model2_soluti
     solve_err = max(abs(table.phi[0] - printed0), abs(table.phi[1] - printed1))
 
     closed_sup = sup_pmf_closed_form(geometric, char, roots)
-    closed = closed_form_initial_values(closed_sup, roots, geometric)
+    closed = closed_form_initial_values(closed_sup)
     closed_err = max(abs(closed[0] - printed0), abs(closed[1] - printed1))
     closed_exact_err = max(abs(closed[0] - PHI0_EXACT_K2), abs(closed[1] - PHI1_EXACT_K2))
 
@@ -193,7 +193,7 @@ def test_criterion_4_double_root_model(double_root_dist, model4_solution):
     mass_err = float(np.max(np.abs(sup.mass - np.array([1.0, 0.0, 0.0]))))
     table = ultimate_survival_table(sup, char, 5)
     phi0_err = abs(table.phi[0] - 0.968)
-    coeffs = survival_gf_coefficients(double_root_dist, char, 30, roots=roots)
+    coeffs = survival_gf_coefficients(sup_pmf_closed_form(double_root_dist, char, roots), char, 30)
     coeff_err = float(np.max(np.abs(coeffs - 1.0)))
     ok = root_err <= 1e-8 and mult_ok and mass_err <= 1e-9 and phi0_err <= 1e-12 and coeff_err <= 1e-9
     criterion(
@@ -214,7 +214,7 @@ def test_criterion_5_route_agreement_random_models(random_models):
         closed = sup_pmf_closed_form(dist, char, roots)
         worst_mass = max(worst_mass, float(np.max(np.abs(sup.mass - closed.mass))))
         table = ultimate_survival_table(sup, char, 25)
-        coeffs = survival_gf_coefficients(dist, char, 24, roots=roots)
+        coeffs = survival_gf_coefficients(closed, char, 24)
         worst_table = max(worst_table, float(np.max(np.abs(coeffs - table.phi[1:]))))
     ok = worst_mass <= 1e-9 and worst_table <= 1e-9
     criterion(

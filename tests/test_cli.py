@@ -242,6 +242,36 @@ class TestPipeline:
         assert calls["root_product"] <= 2
         assert calls["cdf_toeplitz"] <= 2
 
+    def test_one_root_product_law_per_run(self, monkeypatch):
+        # the root-product table and phi(0..kappa) read the law that run_model
+        # builds, so the product over the roots is built once
+        calls = []
+        build = supremum.root_product
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(supremum, "root_product", counted)
+        report = run_model(ModelConfig(kappa=3, dist=Geometric(P), u_max=40, t_max=5))
+        assert report.all_passed
+        assert len(calls) == 1
+
+    def test_root_product_checks_read_the_runs_law(self, monkeypatch):
+        # a root-product law off by a relative 1e-7 fails both checks that read it
+        closed_form = pipeline.sup_pmf_closed_form
+
+        def scaled(*args):
+            law = closed_form(*args)
+            return dataclasses.replace(
+                law, numerator=lambda s: law.numerator(s) * (1 + 1e-7), phi0=law.phi0 * (1 + 1e-7)
+            )
+
+        monkeypatch.setattr(pipeline, "sup_pmf_closed_form", scaled)
+        report = run_model(ModelConfig(kappa=3, dist=Geometric(P), u_max=40, t_max=5))
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"closed_form_initial_values", "table_vs_root_product"} <= failed
+
     def test_near_critical_model(self):
         # the deflation remainder carries the roundoff of the cancelled s^1 term
         report = run_model(ModelConfig(kappa=1, dist=NEAR_CRITICAL, u_max=50, t_max=30))

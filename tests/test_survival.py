@@ -34,7 +34,7 @@ def solve_model(dist, kappa):
 
 
 def closed_values(dist, char, roots):
-    return closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)
+    return closed_form_initial_values(sup_pmf_closed_form(dist, char, roots))
 
 
 class TestUltimateTable:
@@ -161,7 +161,7 @@ class TestStabilityMachinery:
         char, roots, sup = solve_model(dist, 2)
         assert roots.roots[0].on_boundary
         table = ultimate_survival_table(sup, char, 200)
-        coeffs = survival_gf_coefficients(dist, char, 199, roots=roots)
+        coeffs = survival_gf_coefficients(sup_pmf_closed_form(dist, char, roots), char, 199)
         np.testing.assert_allclose(coeffs, table.phi[1:], atol=1e-12)
         tail = tail_expansion(sup, char, roots)
         np.testing.assert_allclose(tail.phi(np.arange(200)), table.phi[1:], atol=1e-12)
@@ -291,24 +291,24 @@ class TestClosedGf:
 class TestSeriesCoefficients:
     def test_first_coefficient(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(geometric, char, 0, roots=roots)
+        coeffs = survival_gf_coefficients(sup_pmf_closed_form(geometric, char, roots), char, 0)
         assert coeffs[0] == pytest.approx(sup.mass[0], abs=1e-14)
 
     def test_geometric_kappa3_reference_values(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        coeffs = survival_gf_coefficients(geometric, char, 2, roots=roots)
+        coeffs = survival_gf_coefficients(sup_pmf_closed_form(geometric, char, roots), char, 2)
         np.testing.assert_allclose(coeffs, [0.582072, 0.663971, 0.729821], atol=1e-5)
 
     def test_double_root_all_ones(self, double_root_dist):
         char, roots, sup = solve_model(double_root_dist, 3)
-        coeffs = survival_gf_coefficients(double_root_dist, char, 30, roots=roots)
+        coeffs = survival_gf_coefficients(sup_pmf_closed_form(double_root_dist, char, roots), char, 30)
         np.testing.assert_allclose(coeffs, 1.0, atol=1e-12)
 
     def test_agrees_with_table_route(self, random_models):
         for dist, kappa, roots, char in random_models:
             sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
             table = ultimate_survival_table(sup, char, 25)
-            coeffs = survival_gf_coefficients(dist, char, 24, roots=roots)
+            coeffs = survival_gf_coefficients(sup_pmf_closed_form(dist, char, roots), char, 24)
             assert np.max(np.abs(coeffs - table.phi[1:])) <= 1e-9
 
 

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ imports are its public re-exports
 SCANNED = sorted(
     p
-    for pattern in ("src/ruinwalk/*.py", "tests/*.py", "demos/*.py")
+    for pattern in ("src/ruinwalk/*.py", "tests/*.py", "demos/*.py", "tools/*.py")
     for p in ROOT.glob(pattern)
     if p != ROOT / "src" / "ruinwalk" / "__init__.py"
 )

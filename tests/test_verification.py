@@ -412,8 +412,9 @@ def _boundary_value_error(dist, kappa, char, roots, count):
     states (fewer when N is smaller), and Lundberg's truncation bound plus
     the solve's roundoff bound there; N is the first index where
     rho^-(N-kappa+1) <= 2^-52."""
-    phi0 = closed_form_initial_values(sup_pmf_closed_form(dist, char, roots), roots, dist)[0]
-    table = np.r_[phi0, survival_gf_coefficients(dist, char, count - 1, roots=roots)[:-1]]
+    closed = sup_pmf_closed_form(dist, char, roots)
+    phi0 = closed_form_initial_values(closed)[0]
+    table = np.r_[phi0, survival_gf_coefficients(closed, char, count - 1)[:-1]]
     rho = _outside_root(dist, kappa)
     steps = 52 * np.log(2) / np.log(rho) if rho > 1.0 else np.inf
     n = max(kappa, int(np.ceil(min(10_000, kappa - 1 + steps))))
