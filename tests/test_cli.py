@@ -216,8 +216,9 @@ class TestPipeline:
         ids=["geometric_k2", "bernoulli_k1"],
     )
     def test_verify_derives_each_model_polynomial_once(self, monkeypatch, dist, kappa):
-        # Q, g and Q1 come from one characteristic polynomial and R = C @ mass
-        # from the solve; only the identity check rebuilds R, from its own masses
+        # Q, g and Q1 come from one characteristic polynomial, R = C @ mass
+        # from the solve and both root-product readers from one law; only the
+        # identity check rebuilds R, from its own masses
         calls = Counter()
 
         def counted(name, fn):
@@ -239,23 +240,8 @@ class TestPipeline:
         assert report.all_passed
         assert calls["build_characteristic"] == 1
         assert calls["deflate_at_one"] == 1
-        assert calls["root_product"] <= 2
+        assert calls["root_product"] == 1
         assert calls["cdf_toeplitz"] <= 2
-
-    def test_one_root_product_law_per_run(self, monkeypatch):
-        # the root-product table and phi(0..kappa) read the law that run_model
-        # builds, so the product over the roots is built once
-        calls = []
-        build = supremum.root_product
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(supremum, "root_product", counted)
-        report = run_model(ModelConfig(kappa=3, dist=Geometric(P), u_max=40, t_max=5))
-        assert report.all_passed
-        assert len(calls) == 1
 
     def test_root_product_checks_read_the_runs_law(self, monkeypatch):
         # a root-product law off by a relative 1e-7 fails both checks that read it

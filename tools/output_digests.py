@@ -1,6 +1,6 @@
 """sha256 of every output file that the benchmark workloads write.
 
-    python3 tools/output_digests.py OUT.json [--seeds 11 14] [--workloads table_deep verify_mc]
+    python3 tools/output_digests.py OUT.json [--seeds 11 14]
     python3 tools/output_digests.py --compare A.json B.json
 
 The first form runs every job of the workloads in bench/workloads.py at each
@@ -33,11 +33,11 @@ from ruinwalk.reporting import write_outputs  # noqa: E402
 from workloads import WORKLOADS, matrix_jobs  # noqa: E402
 
 
-def output_digests(workloads, seeds) -> dict[str, str]:
+def output_digests(seeds) -> dict[str, str]:
     """{workload/seed/model/file: sha256} over every job's written files."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads:
+        for workload in WORKLOADS:
             for seed in seeds:
                 for job in matrix_jobs(workload, seed):
                     key = f"{workload}/{seed}/{job.model_id}"
@@ -51,7 +51,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="JSON file to write the digests to")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 14])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -63,7 +62,7 @@ def main(argv=None) -> int:
         return 1 if keys else 0
     if args.out is None:
         parser.error("give an output file or --compare A B")
-    digests = output_digests(args.workloads, args.seeds)
+    digests = output_digests(args.seeds)
     Path(args.out).write_text(json.dumps(digests, indent=1) + "\n")
     print(f"{len(digests)} digests written to {args.out}")
     return 0
