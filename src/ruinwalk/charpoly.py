@@ -8,7 +8,10 @@ poles that drive the stable large-u tail of the survival table.
 
 The roots are the eigenvalues of the balanced companion matrix of the
 polynomial deflated by (s - 1), clustered into multiple roots and polished by
-multiplicity-aware Newton steps. The tests check them against mpmath.polyroots.
+multiplicity-aware Newton steps. A cluster is a connected component of the
+graph that joins raw roots at most TOL_CLUSTER apart; the components must be
+the same at a tenth and at ten times TOL_CLUSTER. The tests check the roots
+against mpmath.polyroots.
 """
 
 from __future__ import annotations
@@ -153,11 +156,8 @@ def build_characteristic(dist: ClaimDistribution, kappa: int) -> CharPolynomial:
 def deflate_at_one(coeffs: np.ndarray) -> np.ndarray:
     """Synthetic division of Q by (s - 1); the remainder must be negligible."""
     c = np.asarray(coeffs, dtype=float)
-    n = c.size - 1
-    b = np.zeros(n)
-    b[n - 1] = c[n]
-    for j in range(n - 1, 0, -1):
-        b[j - 1] = c[j] + b[j]
+    # b_k = c_n + c_(n-1) + ... + c_(k+1), summed from the top down
+    b = np.cumsum(c[:0:-1])[::-1]
     remainder = c[0] + b[0]
     # + 1 for the s^kappa term, whose roundoff stays when x_kappa ~ 1 cancels it
     scale = np.abs(c).sum() + 1.0
@@ -179,53 +179,48 @@ def companion_roots(coeffs) -> np.ndarray:
         raise ConvergenceFailure(f"companion eigenvalues: {exc}") from exc
 
 
-def _partition(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy transitive clustering of points closer than tol."""
-    n = points.size
-    labels = [-1] * n
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        group = [i]
-        labels[i] = len(clusters)
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in range(n):
-                if labels[k] < 0 and abs(points[j] - points[k]) <= tol:
-                    labels[k] = labels[i]
-                    group.append(k)
-                    frontier.append(k)
-        clusters.append(sorted(group))
-    return clusters
+def _components(points: np.ndarray, tol: float) -> np.ndarray:
+    """Connected components of the graph |z_i - z_j| <= tol, as the smallest
+    index in each point's component (the minimum label spreads until stable)."""
+    near = np.abs(points[:, None] - points[None, :]) <= tol
+    labels = np.arange(points.size)
+    while True:
+        spread = np.where(near, labels, points.size).min(axis=1)
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
 
 
-def cluster_multiplicities(raw, *, tol_cluster: float) -> list[tuple[complex, int]]:
+def _groups(points: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """The points of each component, in the order of their smallest indices."""
+    return [points[labels == k] for k in np.flatnonzero(labels == np.arange(labels.size))]
+
+
+def cluster_multiplicities(raw) -> list[tuple[complex, int]]:
     """Merge near-identical root approximations into (centroid, multiplicity).
 
-    Raises AmbiguousCluster when the partition changes between tol/10 and
-    tol*10: that means the data cannot distinguish a multiple root from a
-    tight cluster of simple ones at this tolerance.
+    Components only merge as the tolerance grows, so when the partitions at
+    TOL_CLUSTER/10 and TOL_CLUSTER*10 agree, the one at TOL_CLUSTER is the
+    same. Raises AmbiguousCluster when they differ: the data cannot then tell
+    a multiple root from a tight cluster of simple ones.
     """
     pts = np.asarray(raw, dtype=complex)
     if pts.size == 0:
         return []
-    base = _partition(pts, tol_cluster)
-    tight = _partition(pts, tol_cluster / 10.0)
-    loose = _partition(pts, tol_cluster * 10.0)
-    if tight != loose:
+    tight = _components(pts, TOL_CLUSTER / 10.0)
+    loose = _components(pts, TOL_CLUSTER * 10.0)
+    if not np.array_equal(tight, loose):
         raise AmbiguousCluster(
-            f"clustering is sensitive near tol_cluster={tol_cluster:g}",
-            tight=[[pts[i] for i in g] for g in tight],
-            loose=[[pts[i] for i in g] for g in loose],
+            f"clustering is sensitive near TOL_CLUSTER={TOL_CLUSTER:g}",
+            tight=[list(g) for g in _groups(pts, tight)],
+            loose=[list(g) for g in _groups(pts, loose)],
         )
     out = []
-    for group in base:
-        centroid = complex(pts[group].mean())
-        if abs(centroid.imag) <= tol_cluster / 2.0:
+    for group in _groups(pts, tight):
+        centroid = complex(group.mean())
+        if abs(centroid.imag) <= TOL_CLUSTER / 2.0:
             centroid = complex(centroid.real, 0.0)
-        out.append((centroid, len(group)))
+        out.append((centroid, group.size))
     return out
 
 
@@ -263,7 +258,7 @@ def find_unit_disk_roots(char: CharPolynomial) -> RootSet:
     inside_raw = raw[inside_mask]
     outside_raw = raw[np.abs(raw) > 1.0 + TOL_BOUNDARY]
 
-    clusters = cluster_multiplicities(inside_raw, tol_cluster=TOL_CLUSTER)
+    clusters = cluster_multiplicities(inside_raw)
 
     # polish each cluster: a multiplicity-l root of Q is a simple root of
     # Q^(l-1), where Newton converges quadratically again
@@ -282,15 +277,16 @@ def find_unit_disk_roots(char: CharPolynomial) -> RootSet:
     if total != expected or Counter(final) != conjugates:
         raise RootCountMismatch(total, expected, roots=[z for z, _ in final])
 
+    values = np.array([z for z, _ in final], dtype=complex)
+    mults = np.array([m for _, m in final], dtype=int)
     scale0 = float(np.abs(char.coeffs).sum())
-    for value, mult in final:
-        for j in range(mult):
-            dcoeffs = npoly.polyder(char.coeffs, j) if j else char.coeffs
-            scale = float(np.abs(dcoeffs).sum())
-            if abs(npoly.polyval(value, dcoeffs)) > TOL_ROOT * max(scale, scale0):
-                raise ConvergenceFailure(
-                    f"root {value} of multiplicity {mult} fails the order-{j} residual test"
-                )
+    for j in range(mults.max(initial=0)):
+        dcoeffs = npoly.polyder(char.coeffs, j) if j else char.coeffs
+        scale = float(np.abs(dcoeffs).sum())
+        tested = values[mults > j]
+        failed = tested[np.abs(npoly.polyval(tested, dcoeffs)) > TOL_ROOT * max(scale, scale0)]
+        if failed.size:
+            raise ConvergenceFailure(f"root {failed[0]} fails the order-{j} residual test")
 
     roots = tuple(
         DiskRoot(value, mult, bool(abs(abs(value) - 1.0) <= TOL_BOUNDARY))

@@ -24,6 +24,7 @@ from .supremum import (
     sup_pmf_closed_form,
 )
 from .survival import (
+    EXTENSION_TAIL,
     FiniteTimeGrid,
     SurvivalTable,
     closed_form_initial_values,
@@ -45,8 +46,6 @@ from .verification import (
     recurrent_sequence_limits,
     stationarity_identity_residual,
 )
-
-IDENTITY_TAIL_TARGET = 1e-10
 
 
 def _gf_comparison_points() -> np.ndarray:
@@ -280,17 +279,15 @@ def _run_verification(
 ) -> None:
     """Oracle passes: identity residual, Monte Carlo, stationarity, sequences."""
     t = time.perf_counter()
-    extended = extend_sup_pmf_stable(sup, char, tail_target=IDENTITY_TAIL_TARGET)
+    extended = extend_sup_pmf_stable(sup, char)
     residual = stationarity_identity_residual(extended, dist, kappa, IDENTITY_POINTS)
-    report.checks.append(
-        Check.leq("gf_identity_residual", residual, 1e-8 + IDENTITY_TAIL_TARGET)
-    )
+    report.checks.append(Check.leq("gf_identity_residual", residual, 1e-8 + EXTENSION_TAIL))
     report.timings["identity"] = time.perf_counter() - t
 
     t = time.perf_counter()
     u_list = [u for u in (0, 1, 2, 5, 10) if u <= config.u_max]
     est = mc_survival(dist, kappa, u_list, config.mc_paths, config.mc_horizon, config.seed)
-    # P(M >= extended.size) is below IDENTITY_TAIL_TARGET, so states from
+    # P(M >= extended.size) is below EXTENSION_TAIL, so states from
     # there on survive for good up to that error. The bias is taken against
     # the root-product table: against `phi` itself, a table too low by delta
     # would raise its own allowance by delta.

@@ -30,6 +30,8 @@ from .supremum import TOL_REAL, SupremumPmf, sup_pgf_masses
 _POLE_SEPARATION = 1e-6
 # longest supremum pmf the extension computes before it gives up
 _EXTENSION_CAP = 200_000
+# the extension stops once P(M > n) is below this
+EXTENSION_TAIL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,8 @@ def survival_gf_coefficients(closed: SupremumPmf, char: CharPolynomial, u_max: i
     return ultimate_survival_table(closed, char, u_max + 1).phi[1:]
 
 
-def extend_sup_pmf_stable(
-    sup: SupremumPmf, char: CharPolynomial, *, tail_target: float = 1e-10
-) -> np.ndarray:
-    """P(M = 0..n), with n doubled until 1 - sum of the masses is below target.
+def extend_sup_pmf_stable(sup: SupremumPmf, char: CharPolynomial) -> np.ndarray:
+    """P(M = 0..n), with n doubled until 1 - sum of the masses is below EXTENSION_TAIL.
 
     Raises if the target is not met within _EXTENSION_CAP terms.
     """
@@ -202,7 +202,7 @@ def extend_sup_pmf_stable(
     while True:
         mass = sup_pgf_masses(sup.numerator, char, n + 1)[0]
         remaining = 1.0 - float(mass.sum())
-        if remaining < tail_target:
+        if remaining < EXTENSION_TAIL:
             return mass
         if n >= _EXTENSION_CAP:
             raise RecurrenceBlowup(f"supremum tail still {remaining:.3e} after {n} terms")

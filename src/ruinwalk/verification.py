@@ -26,6 +26,11 @@ _SLICE = 98_304  # draws per slice of a chunk's stream, rounded down to whole st
 # chance that mc_concordance_excess fails a correct model, per run
 MC_FALSE_ALARM = 1e-6
 
+# recurrent_sequence_limits: the largest truncation index N, and the largest
+# error bound it accepts at N
+SEQUENCE_N_MAX = 2000
+SEQUENCE_GAP = 1e-9
+
 # where the generating-function identity is sampled: 20 points on |s| = 0.9
 IDENTITY_POINTS = 0.9 * np.exp(1j * (2.0 * np.pi * np.arange(20) / 20))
 
@@ -229,9 +234,7 @@ def mc_stationarity_distance(
     return StationarityReport(tv=tv, sampling_noise=noise, paths=paths, horizon=horizon)
 
 
-def recurrent_sequence_limits(
-    dist: ClaimDistribution, *, n_max: int = 2000, gap_tol: float = 1e-9
-) -> SequenceLimits:
+def recurrent_sequence_limits(dist: ClaimDistribution) -> SequenceLimits:
     """Survival initial values for premium rate 2, the paper's sequence limits.
 
     phi(0), phi(1) are the limits of determinant ratios of the solutions a, b
@@ -243,10 +246,10 @@ def recurrent_sequence_limits(
     which grow like |alpha|^-n and cancel. phi_N(u) is the chance of reaching
     the top before ruin, so 0 <= phi_N(u) - phi(u) <= phi_N(u) rho^-(N-1)
     (Lundberg; rho the root > 1 of G_X(s) = s^2), plus the solve's roundoff.
-    N is the first index with rho^-(N-1) <= 2^-52, at most n_max (the roundoff
-    grows with the expected exit time A^-1 1, and for the geometric law
-    p = 101/300 it outweighs the truncation past N ~ 3000); the bound there
-    must not exceed gap_tol, or NonConvergence is raised.
+    N is the first index with rho^-(N-1) <= 2^-52, at most SEQUENCE_N_MAX (the
+    roundoff grows with the expected exit time A^-1 1, and for the geometric
+    law p = 101/300 it outweighs the truncation past N ~ 3000); the bound there
+    must not exceed SEQUENCE_GAP, or NonConvergence is raised.
     """
     if dist.pmf(0) <= 0.0:
         raise ValueError("recurrent sequences need positive mass at zero")
@@ -254,11 +257,13 @@ def recurrent_sequence_limits(
         raise ValueError("recurrent-sequence limits require the net profit condition at kappa=2")
     rho = _outside_root(dist, 2)
     steps = 52.0 * math.log(2.0) / math.log(rho) if rho > 1.0 else math.inf
-    n = max(2, math.ceil(min(n_max, 1 + steps)))
+    n = max(2, math.ceil(min(SEQUENCE_N_MAX, 1 + steps)))
     phi, roundoff = _boundary_value_solve(dist, 2, n)
     bound = float(np.max(phi[:2] * rho ** -(n - 1) + roundoff[:2]))
-    if bound > gap_tol:
-        raise NonConvergence(f"sequence limits bounded to {bound:.3g} at N={n} > {gap_tol:g}")
+    if bound > SEQUENCE_GAP:
+        raise NonConvergence(
+            f"sequence limits bounded to {bound:.3g} at N={n} > {SEQUENCE_GAP:g}"
+        )
     return SequenceLimits(phi0=float(phi[0]), phi1=float(phi[1]), truncated_at=n, error_bound=bound)
 
 

@@ -148,7 +148,7 @@ def test_criterion_2_geometric_premium_two_three_routes(geometric, model2_soluti
     closed_err = max(abs(closed[0] - printed0), abs(closed[1] - printed1))
     closed_exact_err = max(abs(closed[0] - PHI0_EXACT_K2), abs(closed[1] - PHI1_EXACT_K2))
 
-    lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
+    lim = recurrent_sequence_limits(geometric)
     seq_err = max(abs(lim.phi0 - printed0), abs(lim.phi1 - printed1))
 
     ok = solve_err <= 1e-6 and closed_err <= 1e-6 and seq_err <= 1e-6 and closed_exact_err <= 1e-10
@@ -241,7 +241,7 @@ def test_criterion_7_identity_residual_random_models(random_models):
     worst = 0.0
     for dist, kappa, roots, char in random_models:
         sup = solve_boundary_system(build_boundary_system(dist, kappa, roots))
-        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char)
         worst = max(worst, stationarity_identity_residual(mass, dist, kappa, pts))
     ok = worst <= 1e-8 + 1e-10
     criterion(

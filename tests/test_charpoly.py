@@ -1,14 +1,16 @@
+import hashlib
 from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ruinwalk.charpoly as charpoly
 from ruinwalk.charpoly import (
     TOL_BOUNDARY,
+    TOL_CLUSTER,
     TOL_ROOT,
     build_characteristic,
     cluster_multiplicities,
@@ -18,9 +20,16 @@ from ruinwalk.charpoly import (
     reduce_support,
 )
 from ruinwalk.distributions import FinitePmf, Geometric
-from ruinwalk.errors import AmbiguousCluster, ReductionError, RootCountMismatch
+from ruinwalk.errors import (
+    AmbiguousCluster,
+    ConvergenceFailure,
+    ReductionError,
+    RootCountMismatch,
+)
 
 P = 101.0 / 300.0
+# sha256 of TestLargeKappa::test_roots_pinned_bit_for_bit's roots
+ROOT_DIGEST = "0481cb6e97787c90387a79cc1747d8da98d9c14844b5e1d17e81886578952f6d"
 
 
 def alpha_closed_form(p: float) -> float:
@@ -139,10 +148,60 @@ class TestCompanionRoots:
         assert Counter(found) == Counter(found.conj())
 
 
+def _partition(points: np.ndarray, tol: float) -> list[list[int]]:
+    """Greedy transitive clustering of points closer than tol: the reference
+    that `charpoly._components` must match group for group."""
+    n = points.size
+    labels = [-1] * n
+    clusters: list[list[int]] = []
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        group = [i]
+        labels[i] = len(clusters)
+        frontier = [i]
+        while frontier:
+            j = frontier.pop()
+            for k in range(n):
+                if labels[k] < 0 and abs(points[j] - points[k]) <= tol:
+                    labels[k] = labels[i]
+                    group.append(k)
+                    frontier.append(k)
+        clusters.append(sorted(group))
+    return clusters
+
+
+def _groups(labels: np.ndarray) -> list[list[int]]:
+    return [np.flatnonzero(labels == k).tolist() for k in np.unique(labels)]
+
+
+# gaps between consecutive points of a chain, in units of TOL_CLUSTER: some
+# join only at ten times the tolerance, some at a tenth of it, some never
+_CHAIN_STEPS = (0.0, 0.05, 0.099, 0.3, 0.7, 0.999, 1.001, 3.0, 9.99, 10.01, 40.0)
+
+
+@st.composite
+def point_sets(draw):
+    """Chains of points along random directions (a-b-c can join while |a - c|
+    exceeds the tolerance), with conjugates and exact duplicates, shuffled."""
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = draw(st.complex_numbers(max_magnitude=1.0))
+        step = TOL_CLUSTER * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        points.append(z)
+        for gap in draw(st.lists(st.sampled_from(_CHAIN_STEPS), max_size=5)):
+            z = z + gap * step
+            points.append(z)
+    if draw(st.booleans()):
+        points += [z.conjugate() for z in points]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return np.array(draw(st.permutations(points)), dtype=complex)
+
+
 class TestCluster:
     def test_merges_conjugate_noise_pair(self):
-        raw = [-0.3636 + 1e-9j, -0.36365 - 1e-9j]
-        out = cluster_multiplicities(raw, tol_cluster=1e-3)
+        raw = [-0.3636 + 1e-9j, -0.36360005 - 1e-9j]
+        out = cluster_multiplicities(raw)
         assert len(out) == 1
         value, mult = out[0]
         assert mult == 2
@@ -150,17 +209,30 @@ class TestCluster:
 
     def test_keeps_distant_conjugates(self):
         raw = [-0.36 + 0.52j, -0.36 - 0.52j]
-        out = cluster_multiplicities(raw, tol_cluster=1e-6)
+        out = cluster_multiplicities(raw)
         assert [m for _, m in out] == [1, 1]
 
     def test_empty(self):
-        assert cluster_multiplicities([], tol_cluster=1e-6) == []
+        assert cluster_multiplicities([]) == []
 
     def test_ambiguous_cluster_detected(self):
         # separation sits inside the factor-10 window around the tolerance
-        raw = [0.0 + 0.0j, 3e-6 + 0.0j]
+        raw = [0.0 + 0.0j, 3.0 * TOL_CLUSTER + 0.0j]
         with pytest.raises(AmbiguousCluster):
-            cluster_multiplicities(raw, tol_cluster=1e-6)
+            cluster_multiplicities(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=point_sets())
+    @example(points=np.array([0.25 - 0.5j]))
+    def test_components_match_greedy_partition(self, points):
+        tight, base, loose = (
+            _groups(charpoly._components(points, TOL_CLUSTER * f)) for f in (0.1, 1.0, 10.0)
+        )
+        assert tight == _partition(points, TOL_CLUSTER / 10.0)
+        assert base == _partition(points, TOL_CLUSTER)
+        assert loose == _partition(points, TOL_CLUSTER * 10.0)
+        if tight == loose:
+            assert base == tight
 
 
 def _reduced_characteristic(dist, kappa):
@@ -281,6 +353,34 @@ class TestLargeKappa:
         _assert_valid_root_set(char, roots)
         assert roots.all_simple
         assert len(roots.roots) == 150 and len(roots.outside) == 49
+
+    @pytest.mark.parametrize("law, order", [("geometric", 0), ("double_root_dist", 1)])
+    def test_residual_test_rejects_a_moved_root(self, request, monkeypatch, law, order):
+        # every root moves by 1e-6 along the real axis, so pairs stay conjugate;
+        # the double root still passes order 0 and fails order 1
+        polish = charpoly._newton_polish
+        monkeypatch.setattr(charpoly, "_newton_polish", lambda c, z0: polish(c, z0) + 1e-6)
+        with pytest.raises(ConvergenceFailure, match=f"order-{order} residual"):
+            find_unit_disk_roots(build_characteristic(request.getfixturevalue(law), 3))
+
+    def test_roots_pinned_bit_for_bit(self, stress_corpus):
+        # sha256 over every root value, multiplicity, boundary flag and outside
+        # pole of the reduced stress corpus, Geometric(0.006) at kappa=166 and
+        # the double-root law scaled by d = 2, 3, 4, 6 (repeated and boundary roots)
+        models = [(dist, kappa) for dist, kappa, _u_max in stress_corpus]
+        models.append((Geometric(0.006), 166))
+        for d in (2, 3, 4, 6):
+            pmf = np.zeros(3 * d + 1)
+            pmf[::d] = (0.128, 0.576, 0.264, 0.032)
+            models.append((FinitePmf(tuple(pmf)), 3 * d))
+        digest = hashlib.sha256()
+        for dist, kappa in models:
+            roots = find_unit_disk_roots(_reduced_characteristic(dist, kappa))
+            digest.update(roots.values.tobytes())
+            digest.update(np.array([r.multiplicity for r in roots.roots], dtype="<i8").tobytes())
+            digest.update(np.array([r.on_boundary for r in roots.roots], dtype=bool).tobytes())
+            digest.update(np.array(roots.outside, dtype=complex).tobytes())
+        assert digest.hexdigest() == ROOT_DIGEST
 
     def test_pairing_check_rejects_an_unpaired_root(self, geometric, monkeypatch):
         # the upper root of the pair moves by 1e-13: the count and the

@@ -538,7 +538,7 @@ class TestWarningPaths:
 
     def test_cluster_ambiguity_reachable(self, tmp_path):
         # a near-double root whose splitting lands inside the factor-10
-        # sensitivity window around tol_cluster
+        # sensitivity window around TOL_CLUSTER
         delta = 1e-12
         probs = np.array([0.128 - delta, 0.576, 0.264, 0.032 + delta])
         probs /= probs.sum()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ruinwalk import survival
 from ruinwalk.charpoly import RootSet, build_characteristic, find_unit_disk_roots
 from ruinwalk.distributions import TRUNC_EPS, FinitePmf, Geometric
 from ruinwalk.errors import NearPole, RecurrenceBlowup, UnsupportedKappa
@@ -315,23 +316,24 @@ class TestSeriesCoefficients:
 class TestStableExtension:
     def test_reaches_target(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char)
         assert 1.0 - mass.sum() < 1e-10
         assert mass.min() >= -1e-12
 
     def test_matches_table_differences(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char)
         table = ultimate_survival_table(sup, char, 200)
         diffs = table.phi[2:200] - table.phi[1:199]
         np.testing.assert_allclose(mass[1:199], diffs, atol=1e-11)
 
-    def test_target_below_roundoff_floor_of_mass_sum(self, geometric):
+    def test_target_below_roundoff_floor_of_mass_sum(self, geometric, monkeypatch):
         # 1 - sum(mass) of the inverted pmf has no roundoff floor near 1e-12,
         # so a 1e-12 target is reachable
         char, roots, sup = solve_model(geometric, 2)
-        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-12)
         default = extend_sup_pmf_stable(sup, char)
+        monkeypatch.setattr(survival, "EXTENSION_TAIL", 1e-12)
+        mass = extend_sup_pmf_stable(sup, char)
         assert mass.size == default.size == 4097
         assert mass.min() >= -1e-12
 

@@ -426,7 +426,7 @@ def _boundary_value_error(dist, kappa, char, roots, count):
 
 class TestSequenceLimits:
     def test_geometric_kappa2_reference_values(self, geometric):
-        lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
+        lim = recurrent_sequence_limits(geometric)
         assert lim.phi0 == pytest.approx(PHI0_EXACT_K2, abs=1e-6)
         assert lim.phi1 == pytest.approx(PHI1_EXACT_K2, abs=1e-6)
 
@@ -439,15 +439,11 @@ class TestSequenceLimits:
         with pytest.raises(ValueError):
             recurrent_sequence_limits(shifted_dist)
 
-    def test_defaults_are_criterion_2s(self, geometric):
-        assert recurrent_sequence_limits(geometric) == recurrent_sequence_limits(
-            geometric, n_max=2000, gap_tol=1e-9
-        )
-
-    def test_nonconvergence_when_budget_too_small(self, geometric):
+    def test_nonconvergence_when_budget_too_small(self, geometric, monkeypatch):
         # the slow-drift model needs ~1e3 terms; 50 cannot stabilise the ratios
+        monkeypatch.setattr(verification, "SEQUENCE_N_MAX", 50)
         with pytest.raises(NonConvergence):
-            recurrent_sequence_limits(geometric, n_max=50)
+            recurrent_sequence_limits(geometric)
 
     def test_fundamental_recurrence_shape(self, geometric):
         # recompute the first terms directly from the defining recurrence
@@ -463,13 +459,14 @@ class TestSequenceLimits:
     def test_agrees_with_solver(self, geometric):
         char, roots, sup = solve_model(geometric, 2)
         table = ultimate_survival_table(sup, char, 2)
-        lim = recurrent_sequence_limits(geometric, n_max=2000, gap_tol=1e-9)
+        lim = recurrent_sequence_limits(geometric)
         assert abs(lim.phi0 - table.phi[0]) <= 1e-6
         assert abs(lim.phi1 - table.phi[1]) <= 1e-6
 
     @pytest.mark.parametrize("n_max", [2000, 4000])
-    def test_exact_geometric_values_within_bound(self, geometric, n_max):
-        lim = recurrent_sequence_limits(geometric, n_max=n_max, gap_tol=1e-9)
+    def test_exact_geometric_values_within_bound(self, geometric, n_max, monkeypatch):
+        monkeypatch.setattr(verification, "SEQUENCE_N_MAX", n_max)
+        lim = recurrent_sequence_limits(geometric)
         err = max(abs(lim.phi0 - PHI0_EXACT_K2), abs(lim.phi1 - PHI1_EXACT_K2))
         assert err <= lim.error_bound <= 1e-9
         if n_max == 4000:
@@ -612,7 +609,7 @@ class TestIdentityResidual:
 
     def test_circle_points(self, geometric):
         char, roots, sup = solve_model(geometric, 3)
-        mass = extend_sup_pmf_stable(sup, char, tail_target=1e-10)
+        mass = extend_sup_pmf_stable(sup, char)
         res = stationarity_identity_residual(mass, geometric, 3, IDENTITY_POINTS)
         assert res <= 1e-8 + 1e-10
 
