@@ -90,6 +90,8 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
     mc: object | None = None
     mc_bias: np.ndarray | None = None
+    # per probe, [low, high]: the surviving fractions mc_concordance_excess accepts
+    mc_band: np.ndarray | None = None
     stationarity: StationarityReport | None = None
     sequence_limits: object | None = None
     timings: dict = field(default_factory=dict)
@@ -310,6 +312,7 @@ def _run_verification(
     worst = np.max(np.maximum(low + offset - est.phi_hat, est.phi_hat - (high + offset)))
     report.mc = est
     report.mc_bias = bias
+    report.mc_band = np.column_stack((low + offset, high + offset))
     # the 1e-12 bound covers the roundoff of the excess itself
     report.checks.append(Check.leq("mc_concordance_excess", worst, 1e-12))
     report.timings["mc"] = time.perf_counter() - t

@@ -58,9 +58,11 @@ def render_report(report: RunReport, *, include_timings: bool = True) -> str:
     if report.mc is not None:
         add("monte carlo verification")
         for i, u in enumerate(report.mc.u):
+            low, high = report.mc_band[i]
             add(
                 f"  u={int(u)}: estimate {_h(report.mc.phi_hat[i])} "
-                f"(std err {_h(report.mc.std_err[i])}, horizon bias <= {_h(report.mc_bias[i])})"
+                f"(std err {_h(report.mc.std_err[i])}, band [{_h(low)}, {_h(high)}], "
+                f"horizon bias <= {_h(report.mc_bias[i])})"
             )
         add("")
     if report.stationarity is not None:

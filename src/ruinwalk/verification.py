@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,8 +23,8 @@ from .errors import DomainError, NonConvergence
 from .supremum import cdf_toeplitz
 from .survival import finite_time_grid
 
-_CHUNK = 65_536
-_SLICE = 98_304  # draws per slice of a chunk's stream, rounded down to whole steps
+_CHUNK = 8_192
+_SLICE = 24_576  # draws per slice of a chunk's stream, rounded down to whole steps
 # chance that mc_concordance_excess fails a correct model, per run
 MC_FALSE_ALARM = 1e-6
 
@@ -64,8 +66,8 @@ class SequenceLimits:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The stream of one fixed-size path chunk: SFC64 keyed by (seed, chunk).
 
-    Chunking is fixed at 65536 paths regardless of how work is distributed,
-    so path p is reproducible from (seed, p) by regenerating chunk p // 65536.
+    Chunking is fixed at 8192 paths regardless of how work is distributed,
+    so path p is reproducible from (seed, p) by regenerating chunk p // 8192.
     SeedSequence hashes the key, so neighbouring keys get unrelated streams.
     """
     key = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, chunk_index])
@@ -134,19 +136,50 @@ def _all_suprema(
     """Suprema for every path, merged from fixed-size chunks.
 
     Chunk streams are keyed (seed, chunk index), so the result does not depend
-    on which thread runs a chunk. Up to one chunk per CPU runs at a time, each
-    on its own thread; a single one runs on this thread.
+    on which thread runs a chunk. The chunks wait in one queue, walked by this
+    thread and up to one pool thread per further CPU; a run of one chunk
+    walks on this thread alone. The first error stops every thread from
+    taking another chunk, and all of them are joined before it is raised here.
     """
     sizes = [min(_CHUNK, paths - lo) for lo in range(0, paths, _CHUNK)]
-    threads = min(len(sizes), len(os.sched_getaffinity(0)))
+    suprema: list[np.ndarray | None] = [None] * len(sizes)
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(sizes)):
+        todo.put(i)
+    failed = threading.Event()
 
-    def chunk(i: int) -> np.ndarray:
-        return _simulate_suprema_chunk(dist, kappa, _chunk_rng(seed, i), sizes[i], horizon)
+    def walk() -> None:
+        while not failed.is_set():
+            try:
+                i = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                suprema[i] = _simulate_suprema_chunk(
+                    dist, kappa, _chunk_rng(seed, i), sizes[i], horizon
+                )
+            except BaseException:
+                failed.set()
+                raise
 
-    if threads == 1:
-        return np.concatenate([chunk(i) for i in range(len(sizes))])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(chunk, range(len(sizes)))))
+    helpers = min(len(sizes), _cpu_count()) - 1
+    if helpers == 0:
+        walk()
+    else:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            others = [pool.submit(walk) for _ in range(helpers)]
+            walk()
+        for other in others:
+            other.result()
+    return np.concatenate(suprema)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set, or where the OS
+    has none (macOS, Windows) os.cpu_count(), 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mc_survival(
@@ -190,7 +223,7 @@ def mc_walk_suprema(
 ) -> np.ndarray:
     """Horizon-truncated samples of the unclipped walk supremum.
 
-    Integer walk state throughout. Each chunk of 65536 paths reads its own
+    Integer walk state throughout. Each chunk of 8192 paths reads its own
     keyed SFC64 stream time-major, so the result is bit-reproducible and
     independent of the thread count.
     """

@@ -307,12 +307,13 @@ class TestPipeline:
         assert not check.passed, check
 
     def test_a_three_sigma_miss_is_inside_its_band(self):
-        # at this seed one estimate lies 3.45 standard errors from phi(u, T):
-        # outside 3 plug-in standard errors plus the bias, the rule before
-        # the bands, but inside the band of a 1e-6 false-alarm rate
+        # at this seed, the first from 0 with such a miss, one estimate lies
+        # 3.10 standard errors from phi(u, T): outside 3 plug-in standard
+        # errors plus the bias, the rule before the bands, but inside the
+        # band of a 1e-6 false-alarm rate
         cfg = ModelConfig(
             kappa=2, dist=FinitePmf((0.0, 0.6, 0.4)), u_max=60, t_max=20,
-            mc_paths=16_384, seed=5200,
+            mc_paths=16_384, seed=210,
         )
         report = run_model(cfg, verify=True)
         est, phi = report.mc, report.survival.phi
@@ -640,7 +641,7 @@ class TestRendering:
 
     # the same for a --verify run, Monte Carlo and sequence limits included
     VERIFY_DIGESTS = {
-        "report.txt": "8ca02014a0fb4fd0b3418906b51a09fdba3d435eaeae831531e07abe6c31ac11",
+        "report.txt": "811020f1f69d70a11081b20c4c5b3cfc566acea34c83445d01e4313e10b3ea80",
         "survival.csv": "5a48a36a5b153a17f23c2435d6c7ed9d46fa8e0f06b8ccabbec26d95ac56e145",
         "finite_time.csv": "baaa17c3e3f5db4db4a54ccbe8a22809d962fc97e47c335afe49edb352c77417",
         "roots.csv": "f916bd1dd17f700ede5cd3117822a5cf17ef294a0b93921a5c86904b6e313618",

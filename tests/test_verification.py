@@ -145,6 +145,8 @@ def _digest(suprema: np.ndarray) -> str:
 
 
 UNIFORM_40 = FinitePmf(tuple([1.0 / 41.0] * 41))
+# sha256 of UNIFORM_40's suprema at kappa 25, 2 * _CHUNK paths, 40 steps, seed 5
+FINITE_TWO_CHUNKS = "93b9d39a249a80aa45d99f292c867c486278013b6c52f1a9731dee56bd085909"
 
 
 class TestStreamConsumption:
@@ -159,17 +161,21 @@ class TestStreamConsumption:
         "dist, kappa, paths, horizon, seed, digest",
         [
             (Geometric(GEOMETRIC_P), 2, 2 * _CHUNK + 1000, 40, 5,
-             "794e55d8a8c000e6b14381f55ab1de09a7c45ff86abb6c15ea9b277bde551f4e"),
+             "5c22f5e6a502d5992fdec8a3eccc7771367be52df9f4a1f620b7c995af1a1745"),
             (UNIFORM_40, 25, 2 * _CHUNK + 1000, 40, 5,
-             "393d06ceb04971527c4fdbe240985bb0ba41bc88a0b458d07ed7616219d0487e"),
+             "2c63c56294ab43ef7b5ec491618e8ea707916bc67657563b252bdfd13c776ff4"),
+            # two full chunks, the benchmark's 16 384 paths
+            (Geometric(GEOMETRIC_P), 2, 2 * _CHUNK, 40, 5,
+             "cbaf762d5abe7f62ece238cb8a915403ff52bdf530166a0a554767e6d620be1b"),
+            (UNIFORM_40, 25, 2 * _CHUNK, 40, 5, FINITE_TWO_CHUNKS),
         ],
-        ids=["geometric", "finite"],
+        ids=["geometric", "finite", "geometric_16384", "finite_16384"],
     )
     def test_two_chunks_match_digest_at_any_worker_count(
         self, monkeypatch, dist, kappa, paths, horizon, seed, digest
     ):
-        # 1 CPU runs the three chunks one after another on this thread, 2 to
-        # 4 run them on chunk threads; a short switch interval interleaves them
+        # 1 CPU runs the chunks one after another on this thread, 2 to 4 on
+        # this thread and pool threads; a short switch interval interleaves them
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -193,6 +199,14 @@ class TestStreamConsumption:
         # 3000 paths take 32 steps per slice, so 500 steps end in a partial slice
         assert _digest(mc_walk_suprema(dist, kappa, 3000, 500, 17)) == digest
 
+    @pytest.mark.parametrize("cpu_count", [None, 1, 2, 3])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count):
+        # os has no sched_getaffinity on macOS and Windows: os.cpu_count
+        # decides, and None (unknown) means one CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert _digest(mc_walk_suprema(UNIFORM_40, 25, 2 * _CHUNK, 40, 5)) == FINITE_TWO_CHUNKS
+
 
 def _oracle_suprema(dist, kappa, paths, horizon, seed):
     """Oracle: per chunk, every claim drawn at once by `sample` as (horizon, n),
@@ -211,7 +225,7 @@ def _cpus(monkeypatch, count):
 
 class TestPipelinedKernel:
     """Each chunk maps and walks its stream a slice at a time, inline on one
-    CPU and on chunk threads on several; either way it gives the oracle's
+    CPU and on this thread and pool threads on several; either way it gives the oracle's
     suprema byte for byte."""
 
     @given(
@@ -240,7 +254,7 @@ class TestPipelinedKernel:
     @pytest.mark.parametrize("paths", [1, 3, 700, _CHUNK + 5])
     def test_slice_size_moves_no_draw(self, monkeypatch, dist, kappa, paths):
         # slices of 1 draw hold one step; slices of 7 hold 7 steps of one
-        # path and 2 of three; the default holds 140 steps of 700 paths
+        # path and 2 of three; the default holds 35 steps of 700 paths
         expected = mc_walk_suprema(dist, kappa, paths, 300, 8).tobytes()
         for size in (1, 7):
             monkeypatch.setattr(verification, "_SLICE", size)
@@ -249,25 +263,37 @@ class TestPipelinedKernel:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_thread_only_with_several_cpus(self, monkeypatch, cpus):
         _cpus(monkeypatch, cpus)
+        caller = threading.get_ident()
         # one chunk walks on the calling thread
         one_chunk = _RecordsWalkers(UNIFORM_40.probabilities)
         mc_walk_suprema(one_chunk, 25, 700, 300, 4)
-        assert one_chunk.walkers == {threading.get_ident()}
-        # two chunks walk on this thread on one CPU, each on a chunk thread on two
-        two_chunks = _RecordsWalkers(UNIFORM_40.probabilities)
-        mc_walk_suprema(two_chunks, 25, _CHUNK + 10, 2, 4)
-        assert (threading.get_ident() in two_chunks.walkers) == (cpus == 1)
+        assert one_chunk.walkers == {caller}
+        # two chunks walk on this thread alone on one CPU; on two, this thread
+        # and one pool thread each take one (the meeting holds the first
+        # walker until the second comes, so neither can take both)
+        two_chunks = _RecordsWalkers(UNIFORM_40.probabilities).meeting(cpus)
+        mc_walk_suprema(two_chunks, 25, 2 * _CHUNK, 300, 4)
+        assert caller in two_chunks.walkers
+        assert len(two_chunks.walkers) == cpus
 
 
 class _RecordsWalkers(FinitePmf):
-    """Records the threads that map its draws."""
+    """Records the threads that map its draws. After `meeting(n)`, each
+    thread's first map waits until n threads have come (60 s at most)."""
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "walkers", set())
+        object.__setattr__(self, "_meet", threading.Barrier(1))
+
+    def meeting(self, parties):
+        object.__setattr__(self, "_meet", threading.Barrier(parties, timeout=60))
+        return self
 
     def claims(self, raw):
-        self.walkers.add(threading.get_ident())
+        if threading.get_ident() not in self.walkers:
+            self.walkers.add(threading.get_ident())
+            self._meet.wait()
         return super().claims(raw)
 
 
@@ -286,6 +312,29 @@ class _MapFailsOnThirdSlice(FinitePmf):
         return super().claims(raw)
 
 
+class _CallerFailsWhileHelperWalks(_RecordsWalkers):
+    """The calling thread's first map waits up to 60 s for a pool thread to
+    walk, and raises if one does; a pool thread's first map waits for that
+    raise, and then it walks on."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "caller", threading.get_ident())
+        object.__setattr__(self, "helper_walks", threading.Event())
+        object.__setattr__(self, "caller_failed", threading.Event())
+
+    def claims(self, raw):
+        first = threading.get_ident() not in self.walkers
+        if threading.get_ident() != self.caller:
+            self.helper_walks.set()
+            if first:
+                self.caller_failed.wait(60)
+        elif first and self.helper_walks.wait(60):
+            self.caller_failed.set()
+            raise _Boom("caller")
+        return super().claims(raw)
+
+
 class _DrawFailsOnThirdSlice:
     """Stands in for a chunk's Generator, the kernel's own; its third draw raises."""
 
@@ -301,7 +350,7 @@ class _DrawFailsOnThirdSlice:
 
 class TestThreadHygiene:
     """An error while drawing or mapping reaches the caller, from this thread
-    or a chunk thread, and no thread is left when it does."""
+    or a pool thread, and no thread is left when it does."""
 
     @pytest.fixture(autouse=True)
     def _no_hang(self, monkeypatch):
@@ -311,7 +360,7 @@ class TestThreadHygiene:
         faulthandler.cancel_dump_traceback_later()
 
     def _raises(self, dist, message, paths=1000):
-        # 1000 paths take 98 steps per slice, a full chunk 1: either way
+        # 1000 paths take 98 steps per slice, a full chunk 12: either way
         # 300 steps make more than three slices
         before = threading.active_count()
         with pytest.raises(_Boom, match=message) as caught:
@@ -329,12 +378,15 @@ class TestThreadHygiene:
         self._raises(UNIFORM_40, "draw")
 
     def test_error_while_mapping_in_a_chunk_thread(self):
-        # two chunks on two CPUs: each walks on its own chunk thread
+        # two chunks on two CPUs: this thread and a pool thread walk them
         self._raises(_MapFailsOnThirdSlice(UNIFORM_40.probabilities), "map", _CHUNK + 10)
 
     def test_error_while_drawing_in_a_chunk_thread(self, monkeypatch):
         monkeypatch.setattr(verification, "_chunk_rng", _DrawFailsOnThirdSlice)
         self._raises(UNIFORM_40, "draw", _CHUNK + 10)
+
+    def test_error_in_the_callers_chunk_while_a_pool_thread_walks(self):
+        self._raises(_CallerFailsWhileHelperWalks(UNIFORM_40.probabilities), "caller", 2 * _CHUNK)
 
     def test_no_thread_left_after_success(self):
         before = threading.active_count()
