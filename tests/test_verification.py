@@ -251,7 +251,8 @@ class TestPipelinedKernel:
 
     @pytest.mark.parametrize("dist, kappa", [(Geometric(GEOMETRIC_P), 2), (UNIFORM_40, 25)],
                              ids=["geometric", "finite"])
-    @pytest.mark.parametrize("paths", [1, 3, 700, _CHUNK + 5])
+    # 65 541 paths are eight full chunks and five paths of a ninth
+    @pytest.mark.parametrize("paths", [1, 3, 700, _CHUNK + 5, 65_541])
     def test_slice_size_moves_no_draw(self, monkeypatch, dist, kappa, paths):
         # slices of 1 draw hold one step; slices of 7 hold 7 steps of one
         # path and 2 of three; the default holds 35 steps of 700 paths
