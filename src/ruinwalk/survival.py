@@ -32,6 +32,9 @@ _POLE_SEPARATION = 1e-6
 _EXTENSION_CAP = 200_000
 # the extension stops once P(M > n) is below this
 EXTENSION_TAIL = 1e-10
+# the finite-time grid tests every this many steps whether its state vector
+# has stopped changing
+_FIXED_POINT_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,17 @@ def _claim_filter(dist: ClaimDistribution):
     """w -> x * w for the claim law x = A / g, exact in its first w.size entries.
 
     One np.convolve by A, then the pole of g = 1 - q s as `_one_pole`, so
-    an unbounded law runs with no truncation.
+    an unbounded law runs with no truncation. Entry j of the result is bit
+    for bit a function of w_0..w_j alone, whatever w.size: np.convolve sums
+    in the other order when w is not the longer argument, so a w no longer
+    than A is padded with zeros first.
     """
     a, g = dist.pgf_ratio()
     assert g.size <= 2, "the DP step runs at most one pole"
 
     def step(w: np.ndarray) -> np.ndarray:
+        if w.size <= a.size:
+            w = np.pad(w, (0, a.size + 1 - w.size))
         y = np.convolve(a, w)
         if g.size == 2:
             _one_pole(-g[1], y)
@@ -272,6 +280,19 @@ def finite_time_grid(
     remaining steps can still reach from u_max. A step reads at most kappa
     states past the previous step's last one, so kappa padding states
     suffice. The step's convolution with the claim law is `_claim_filter`.
+
+    The grid stops at its floating-point fixed point: once a step's state
+    vector equals the previous one bit for bit (up to its own length), the
+    remaining rows repeat the last one. This is exact. A step is a fixed
+    function of the vector (state 0 is forced to 0, the padding is ones),
+    and its state j reads states 0..j+kappa of the vector alone, bit for bit
+    (`_claim_filter`). If the step kept the vector's length, the same vector
+    goes back in. If it shrank, the cone is below the cap and each later
+    step drops exactly kappa states, so every state kept reads only states
+    that did not change. Either way every later vector is a prefix of this
+    one. The test runs every _FIXED_POINT_STRIDE steps: it costs nothing
+    measurable on a grid that never settles, and stopping a few steps after
+    the vector first repeats changes nothing.
     """
     if state_cap is None:
         length = u_max + kappa * t_max
@@ -287,9 +308,12 @@ def finite_time_grid(
         work[n : n + kappa] = 1.0
         work[0] = 0.0
         top = min(length, u_max + kappa * (t_max - t))
-        v = step(work[: n + kappa])[kappa : kappa + top + 1]
+        previous, v = v, step(work[: n + kappa])[kappa : kappa + top + 1]
         np.clip(v, 0.0, 1.0, out=v)
         rows[t - 1] = v[: u_max + 1]
+        if t % _FIXED_POINT_STRIDE == 0 and np.array_equal(v, previous[: v.size]):
+            rows[t:] = rows[t - 1]
+            break
     return FiniteTimeGrid(phi=rows)
 
 

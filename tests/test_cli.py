@@ -211,6 +211,18 @@ class TestPipeline:
         assert report.stationarity.paths == report.mc.paths == 2000
         assert report.all_passed
 
+    def test_verify_times_horizon_bias_apart_from_simulation(self):
+        # the capped finite-time DP behind the horizon bias is its own stage
+        # in the timings, not part of the simulation's
+        cfg = ModelConfig(
+            kappa=3, dist=Geometric(P), u_max=10, t_max=5, mc_paths=2000, mc_horizon=2000
+        )
+        report = run_model(cfg, verify=True)
+        assert report.mc.effective_horizon == 2000
+        assert {"mc", "horizon_bias"} <= report.timings.keys()
+        text = render_report(report)
+        assert "\n  mc: " in text and "\n  horizon_bias: " in text
+
     @pytest.mark.parametrize(
         "dist, kappa", [(Geometric(P), 2), (FinitePmf((0.7, 0.3)), 1)],
         ids=["geometric_k2", "bernoulli_k1"],

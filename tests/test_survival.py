@@ -339,10 +339,12 @@ class TestStableExtension:
 
 
 def _full_cone_grid(dist, kappa, u_max, t_max, state_cap=None):
-    """Reference DP: every step carries all states and pads kappa ones.
+    """Reference DP: every step carries all states and pads kappa ones, and
+    all t_max steps run.
 
     Its step is the grid's own convolution with the claim pmf, so what it
-    checks is the trimming of the cone; `TestExactDp` checks the step.
+    checks is the trimming of the cone and the stop at the fixed point;
+    `TestExactDp` checks the step.
     """
     if state_cap is None:
         length = u_max + kappa * t_max
@@ -422,6 +424,17 @@ class TestExactDp:
         assert err <= 1e-13
 
 
+# (dist, kappa, u_max, t_max, state_cap) of the capped finite-time grid
+# behind the horizon bias of each verify_mc model that walks the full horizon
+_HORIZON_BIAS_GRIDS = [
+    (Geometric(GEOMETRIC_P), 2, 10, 2000, 4097),
+    (Geometric(GEOMETRIC_P), 3, 10, 2000, 129),
+    (FinitePmf(tuple([1.0 / 41.0] * 41)), 25, 10, 2000, 401),
+    (Geometric(0.03), 50, 10, 2000, 1601),
+]
+_HORIZON_BIAS_IDS = ["bias_geom_k2", "bias_geom_k3", "bias_unif40_k25", "bias_geom_k50"]
+
+
 class TestFiniteTime:
     @pytest.mark.parametrize(
         "dist, kappa, u_max, t_max, state_cap",
@@ -432,13 +445,76 @@ class TestFiniteTime:
             (FinitePmf(tuple([1.0 / 41.0] * 41)), 25, 10, 120, None),
             (Geometric(GEOMETRIC_P), 2, 0, 300, None),
             (Geometric(GEOMETRIC_P), 2, 0, 400, 50),
+            # the horizon-bias grids of the verify_mc models at horizon 2000;
+            # all but geom_k2 settle, at t = 383, 312 and 268
+            *_HORIZON_BIAS_GRIDS,
+            (Geometric(GEOMETRIC_P), 3, 10, 3000, None),  # settles at t = 394
+            # settles at t = 383, once the cone has begun to shrink
+            (Geometric(GEOMETRIC_P), 3, 10, 400, 129),
+            (FinitePmf((0.128, 0.576, 0.264, 0.032)), 3, 10, 2500, None),  # settles at t = 2
         ],
-        ids=["geom_k50_capped", "geom_k2_capped", "geom_k3", "unif40_k25", "u0", "u0_capped"],
+        ids=[
+            "geom_k50_capped",
+            "geom_k2_capped",
+            "geom_k3",
+            "unif40_k25",
+            "u0",
+            "u0_capped",
+            *_HORIZON_BIAS_IDS,
+            "geom_k3_settles",
+            "geom_k3_settles_shrinking",
+            "double_root_settles",
+        ],
     )
     def test_trimmed_cone_matches_full_cone(self, dist, kappa, u_max, t_max, state_cap):
         grid = finite_time_grid(dist, kappa, u_max, t_max, state_cap=state_cap)
-        reference = _full_cone_grid(dist, kappa, u_max, t_max, state_cap)
-        assert np.max(np.abs(grid.phi - reference)) <= 1e-15
+        assert np.array_equal(grid.phi, _full_cone_grid(dist, kappa, u_max, t_max, state_cap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.integers(1, 8),
+        size=st.integers(1, 12),
+        u_max=st.integers(0, 20),
+        t_max=st.integers(1, 300),
+        state_cap=st.one_of(st.none(), st.integers(0, 300)),
+    )
+    # the last steps convolve a work vector no longer than the pmf, where
+    # np.convolve sums in the other order unless the step pads it
+    @example(seed=0, kappa=1, size=4, u_max=0, t_max=3, state_cap=None)
+    # rows u <= u_max that repeat while states above them still change, so
+    # a stop that compared the rows alone would come too early
+    @example(seed=2973702036, kappa=4, size=6, u_max=0, t_max=152, state_cap=None)
+    @example(seed=1188007038, kappa=8, size=11, u_max=6, t_max=255, state_cap=243)
+    def test_stop_matches_full_cone_on_random_laws(
+        self, seed, kappa, size, u_max, t_max, state_cap
+    ):
+        dist = FinitePmf(tuple(np.random.default_rng(seed).dirichlet(np.ones(size))))
+        grid = finite_time_grid(dist, kappa, u_max, t_max, state_cap=state_cap)
+        assert np.array_equal(grid.phi, _full_cone_grid(dist, kappa, u_max, t_max, state_cap))
+
+    @pytest.mark.parametrize(
+        "dist, kappa, u_max, t_max, state_cap", _HORIZON_BIAS_GRIDS, ids=_HORIZON_BIAS_IDS
+    )
+    def test_settling_grids_stop_early(self, monkeypatch, dist, kappa, u_max, t_max, state_cap):
+        steps = []
+        claim_filter = survival._claim_filter
+
+        def counted(law):
+            step = claim_filter(law)
+
+            def counting(w):
+                steps.append(1)
+                return step(w)
+
+            return counting
+
+        monkeypatch.setattr(survival, "_claim_filter", counted)
+        finite_time_grid(dist, kappa, u_max, t_max, state_cap=state_cap)
+        if kappa == 2:  # the slow-drift model never settles
+            assert len(steps) == t_max
+        else:
+            assert len(steps) < 400
 
     def test_one_period_is_cdf(self, geometric):
         # phi(u, 1) = F_X(u + kappa - 1)
